@@ -132,7 +132,11 @@ def likelihood(conj: Conjecture, beliefs: Mapping[int, ObstacleBelief],
                obs: Observation, robot: Pose, sigma_like: float,
                dt: float = 0.1) -> float:
     """Product of isotropic Gaussian densities of the observed positions
-    around the conjecture's one-step predictions.
+    around the conjecture's predictions.
+
+    A belief last updated `staleness` steps ago is predicted across the
+    whole gap, dt * (staleness + 1), the interval track_obstacles
+    differences the same observation over.
 
     Obstacles without tracking history contribute a factor of 1, so the
     value is a positive real for every finite input.
@@ -145,7 +149,7 @@ def likelihood(conj: Conjecture, beliefs: Mapping[int, ObstacleBelief],
         b = beliefs.get(oid)
         if b is None:
             continue
-        pred = predict_obstacle(conj, b, robot, dt)
+        pred = predict_obstacle(conj, b, robot, dt * (b.staleness + 1))
         d2 = float((noisy_pos[0] - pred[0]) ** 2 + (noisy_pos[1] - pred[1]) ** 2)
         log_l += math.log(norm) - d2 / (2.0 * sigma_like ** 2)
     # Clamp so the result never underflows to zero; positivity is part of

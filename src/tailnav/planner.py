@@ -2,7 +2,8 @@
 
 Implements the empirical CVaR tail term in both the sorted-tail and the
 threshold-minimization forms, plus mean and worst-case objective variants,
-and deterministic argmax selection.
+and deterministic argmax selection.  One step-wise kernel, `lattice_risks`,
+scores every lattice command against every scenario.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose, VelocityCommand, clearance_points
+from .geometry import Pose, VelocityCommand, clearance_points, goal_distance
 from .scenarios import (
     InformationState,
     ScenarioBatch,
-    reactive_trajectories,
+    reaction_sequence,
     robot_rollout_poses,
+    step_obstacles,
     walls_as_arrays,
 )
 from .world import StaticMap
@@ -75,7 +77,6 @@ class CommandScore:
     mean_reward: float
     tail_risk: float
     objective: float             # mean_reward - risk_weight * tail_risk
-    rewards: np.ndarray = field(repr=False)  # (N,) per-scenario progress
     risks: np.ndarray = field(repr=False)    # (N,) per-scenario risk
 
 
@@ -125,58 +126,80 @@ def cvar_via_threshold(risks: Sequence[float], alpha: float) -> float:
     return float(np.min(etas + excess / alpha))
 
 
-def score_command(
-    u: VelocityCommand,
+def lattice_risks(
+    paths: np.ndarray,
     batch: ScenarioBatch,
     start: Pose,
-    goal: tuple[float, float],
     static_map: StaticMap,
-    params: PlannerParams,
-) -> CommandScore:
-    """Roll one command against every scenario in the batch and score it."""
-    H, dt = batch.horizon, batch.dt
-    _poses, xy = robot_rollout_poses(u, start, H, dt)
-    wall_a, wall_b = walls_as_arrays(static_map)
+    c_safe: float,
+) -> np.ndarray:
+    """(U, N) risk of every command path against every scenario.
 
-    from .geometry import goal_distance
-    reward = goal_distance(start, goal) - goal_distance(
-        Pose(xy[-1, 0], xy[-1, 1], 0.0), goal)
-
+    paths holds the (U, H, 2) robot positions under each command.  A
+    command's risk in a scenario is its worst normalized clearance deficit
+    clip((c_safe - c) / c_safe, 0, 1) over the horizon.  All commands and
+    scenarios step forward together, one horizon step at a time, so only
+    the (U, N, n, 2) obstacle positions of the current step are held.
+    Non-reactive scenarios read their canonical trajectory; reactive ones
+    are propagated once per conjecture, with a command axis, against each
+    command's reaction sequence.
+    """
     scen = batch.scenarios
-    N = len(scen)
-    risks = np.empty(N)
+    U, H = paths.shape[0], batch.horizon
+    radii = scen[0].radii
+    obstacles = np.empty((U, len(scen)) + radii.shape + (2,))
 
-    # Non-reactive scenarios share one stacked clearance evaluation;
-    # reactive ones are re-propagated in one stack per conjecture.
+    # Lay the scenario axis out as the non-reactive scenarios followed by
+    # one contiguous span per reactive conjecture; `order` maps it back.
+    # A span's slots of `obstacles` carry its positions from step to step.
     nonreactive = [i for i, s in enumerate(scen) if not s.reactive]
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(scen):
         if s.reactive:
             groups.setdefault(s.conjecture.id, []).append(i)
-    if nonreactive:
-        trajs = np.stack([scen[i].trajectory for i in nonreactive])  # (M,H,n,2)
-        radii = scen[nonreactive[0]].radii
-        c = clearance_points(xy, batch.robot_radius, trajs, radii,
-                             wall_a, wall_b)                          # (M,H)
-        g = np.clip((params.c_safe - c) / params.c_safe, 0.0, 1.0)
-        risks[nonreactive] = g.max(axis=-1)
+    order = nonreactive + [i for idxs in groups.values() for i in idxs]
+    M = len(nonreactive)
+    if M:
+        canonical = np.stack([scen[i].trajectory for i in nonreactive],
+                             axis=1)                              # (H,M,n,2)
+    spans = []        # (scenario slice, conjecture, velocities, noise)
+    lo = M
     for idxs in groups.values():
-        trajs = reactive_trajectories([scen[i] for i in idxs], start, xy, dt)
-        c = clearance_points(xy, batch.robot_radius, trajs,
-                             scen[idxs[0]].radii, wall_a, wall_b)
-        g = np.clip((params.c_safe - c) / params.c_safe, 0.0, 1.0)
-        risks[idxs] = g.max(axis=-1)
+        members = [scen[i] for i in idxs]
+        span = slice(lo, lo + len(idxs))
+        lo = span.stop
+        obstacles[:, span] = np.stack([s.init_positions for s in members])
+        spans.append((span, members[0].conjecture,
+                      np.stack([s.init_velocities for s in members]),
+                      np.stack([s.noise for s in members], axis=1)))
+    reaction = np.stack([reaction_sequence(start, xy) for xy in paths])
+    reaction = reaction[:, :, None, None, :]                      # (U,H,1,1,2)
 
-    rewards = np.full(N, reward)
+    wall_a, wall_b = walls_as_arrays(static_map)
+    risk = None
+    for k in range(H):
+        if M:
+            obstacles[:, :M] = canonical[k]
+        for span, conj, vel, noise in spans:
+            obstacles[:, span] = step_obstacles(
+                conj, obstacles[:, span], vel, reaction[:, k], noise[k],
+                batch.dt)
+        c = clearance_points(paths[:, k, None, :], batch.robot_radius,
+                             obstacles, radii, wall_a, wall_b)    # (U, N)
+        g = np.clip((c_safe - c) / c_safe, 0.0, 1.0)
+        risk = g if risk is None else np.maximum(risk, g)
+    out = np.empty_like(risk)
+    out[:, order] = risk
+    return out
+
+
+def tail_term(risks: np.ndarray, params: PlannerParams) -> float:
+    """The objective's risk statistic over one command's scenario risks."""
     if params.objective == "cvar":
-        tail = empirical_cvar(risks, params.alpha, params.fractional_tail)
-    elif params.objective == "mean":
-        tail = float(risks.mean())
-    else:
-        tail = float(risks.max())
-    score = reward - params.risk_weight * tail
-    return CommandScore(command=u, mean_reward=reward, tail_risk=tail,
-                        objective=score, rewards=rewards, risks=risks)
+        return empirical_cvar(risks, params.alpha, params.fractional_tail)
+    if params.objective == "mean":
+        return float(risks.mean())
+    return float(risks.max())
 
 
 def tie_break_key(score: float, cmd: VelocityCommand, v_max: float,
@@ -192,11 +215,24 @@ def select_command(
     batch: ScenarioBatch,
     params: PlannerParams,
 ) -> tuple[VelocityCommand, list[CommandScore]]:
-    """Score every lattice command and return the deterministic argmax."""
-    scores = [
-        score_command(u, batch, info.robot, info.goal, info.static_map, params)
-        for u in lattice.commands
-    ]
+    """Score every lattice command and return the deterministic argmax.
+
+    A command's reward is the reduction in goal distance over its rollout;
+    its objective is reward - risk_weight * tail term of its risks.
+    """
+    start, goal = info.robot, info.goal
+    rollouts = [robot_rollout_poses(u, start, batch.horizon, batch.dt)
+                for u in lattice.commands]
+    paths = np.stack([xy for _poses, xy in rollouts])
+    risks = lattice_risks(paths, batch, start, info.static_map, params.c_safe)
+    d0 = goal_distance(start, goal)
+    scores = []
+    for u, (poses, _xy), r in zip(lattice.commands, rollouts, risks):
+        reward = d0 - goal_distance(poses[-1], goal)
+        tail = tail_term(r, params)
+        scores.append(CommandScore(
+            command=u, mean_reward=reward, tail_risk=tail,
+            objective=reward - params.risk_weight * tail, risks=r))
     v_max = lattice.v_max
     best = min(
         range(len(scores)),

@@ -1,4 +1,5 @@
-"""Posterior-mixture scenario sampling and candidate-command rollouts."""
+"""Posterior-mixture scenario sampling, obstacle propagation, and robot
+rollouts under a constant command."""
 
 from __future__ import annotations
 
@@ -15,13 +16,10 @@ from .beliefs import (
     conjectured_velocity,
     sample_obstacle_state,
 )
-from .geometry import (
-    Pose,
-    VelocityCommand,
-    clearance_points,
-    goal_distance,
-    step_unicycle,
-)
+from .geometry import Pose, VelocityCommand, step_unicycle
+# Re-exported, not called here: tools that patch clearance evaluation by
+# module attribute look it up in this module as well.
+from .geometry import clearance_points  # noqa: F401
 from .world import StaticMap
 
 REACTIVE_KINDS = ("yielding", "aggressive")
@@ -61,12 +59,6 @@ class ScenarioBatch:
     robot_radius: float
 
 
-@dataclass(frozen=True)
-class RobotRollout:
-    poses: tuple[Pose, ...]      # H simulated poses
-    clearances: np.ndarray       # (H,) signed clearance per step
-
-
 def propagate_obstacles(
     conj: Conjecture,
     init_pos: np.ndarray,        # (..., 2)
@@ -87,10 +79,27 @@ def propagate_obstacles(
     pos = np.array(init_pos, dtype=float)
     init_vel = np.asarray(init_vel, dtype=float)
     for k in range(H):
-        v = conjectured_velocity(conj, init_vel, pos, robot_seq[k])
-        pos = pos + (v + noise[k]) * dt
+        pos = step_obstacles(conj, pos, init_vel, robot_seq[k], noise[k], dt)
         traj[k] = pos
     return traj
+
+
+def step_obstacles(
+    conj: Conjecture,
+    pos: np.ndarray,             # (..., 2) current positions
+    init_vel: np.ndarray,        # (..., 2) sampled velocities
+    robot_xy: np.ndarray,        # (..., 2) robot position reacted to
+    noise_k: np.ndarray,         # (..., 2) this step's velocity noise
+    dt: float,
+) -> np.ndarray:
+    """One transition of obstacle positions under a conjecture.
+
+    The single definition of the propagation arithmetic: canonical
+    trajectories and the planner's per-command reactive re-propagation
+    both advance through it.  All arguments broadcast.
+    """
+    v = conjectured_velocity(conj, init_vel, pos, robot_xy)
+    return pos + (v + noise_k) * dt
 
 
 def top_k_weights(posterior: Posterior, top_k: int) -> np.ndarray:
@@ -123,8 +132,8 @@ def sample_batch(
     per-step Gaussian process noise.  Every scenario draws from its own
     spawned substream, so the batch is reproducible and independent of
     evaluation order.  The canonical trajectories hold the robot frozen at
-    its current pose; reactive scenarios are re-propagated per command at
-    rollout time.
+    its current pose; the planner re-propagates reactive scenarios against
+    each command's path.
     """
     if N < 1 or H < 1:
         raise ValueError("N and H must be at least 1")
@@ -199,69 +208,9 @@ def reaction_sequence(start: Pose, robot_xy: np.ndarray) -> np.ndarray:
     return np.vstack([[start.x, start.y], robot_xy[:-1]])
 
 
-def scenario_trajectory(scenario: Scenario, start: Pose,
-                        robot_xy: np.ndarray, dt: float) -> np.ndarray:
-    """Obstacle trajectory a command actually faces.
-
-    Non-reactive scenarios reuse the canonical trajectory; reactive ones
-    are re-propagated against the command's own robot path.
-    """
-    if not scenario.reactive:
-        return scenario.trajectory
-    seq = reaction_sequence(start, robot_xy)
-    return propagate_obstacles(scenario.conjecture, scenario.init_positions,
-                               scenario.init_velocities, seq, scenario.noise, dt)
-
-
-def reactive_trajectories(scenarios: list[Scenario], start: Pose,
-                          robot_xy: np.ndarray, dt: float) -> np.ndarray:
-    """Stacked (S, H, n, 2) re-propagation of reactive scenarios that share
-    one conjecture, against one robot path."""
-    conj = scenarios[0].conjecture
-    seq = reaction_sequence(start, robot_xy)
-    init_pos = np.stack([s.init_positions for s in scenarios])
-    init_vel = np.stack([s.init_velocities for s in scenarios])
-    noise = np.stack([s.noise for s in scenarios])          # (S, H, n, 2)
-    traj = propagate_obstacles(conj, init_pos, init_vel, seq,
-                               np.moveaxis(noise, 0, 1), dt)
-    return np.moveaxis(traj, 0, 1)
-
-
-def rollout_command(
-    u: VelocityCommand,
-    start: Pose,
-    scenario: Scenario,
-    static_map: StaticMap,
-    dt: float,
-    robot_radius: float,
-) -> RobotRollout:
-    """Roll the robot under constant command u against one scenario."""
-    H = scenario.noise.shape[0]
-    poses, xy = robot_rollout_poses(u, start, H, dt)
-    traj = scenario_trajectory(scenario, start, xy, dt)
-    wall_a, wall_b = walls_as_arrays(static_map)
-    clear = clearance_points(xy, robot_radius, traj, scenario.radii,
-                             wall_a, wall_b)
-    return RobotRollout(poses=poses, clearances=np.asarray(clear, dtype=float))
-
-
 def walls_as_arrays(static_map: StaticMap) -> tuple[np.ndarray, np.ndarray]:
     if not static_map.walls:
         return np.zeros((0, 2)), np.zeros((0, 2))
     a = np.array([w.a for w in static_map.walls], dtype=float)
     b = np.array([w.b for w in static_map.walls], dtype=float)
     return a, b
-
-
-def progress_reward(rollout: RobotRollout, start: Pose,
-                    goal: tuple[float, float]) -> float:
-    """Reduction in goal distance over the rollout."""
-    return goal_distance(start, goal) - goal_distance(rollout.poses[-1], goal)
-
-
-def trajectory_risk(rollout: RobotRollout, c_safe: float) -> float:
-    """Worst per-step normalized clearance deficit, in [0, 1]."""
-    if c_safe <= 0:
-        raise ValueError("c_safe must be positive")
-    g = np.clip((c_safe - rollout.clearances) / c_safe, 0.0, 1.0)
-    return float(g.max())

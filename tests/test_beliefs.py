@@ -114,6 +114,18 @@ class TestLikelihood:
                            Pose(0, 0, 0), 0.1)
         assert left == pytest.approx(right, rel=1e-12)
 
+    def test_stale_belief_predicts_across_the_whole_gap(self):
+        # Unseen for two steps, so the observation lies three steps of
+        # motion past last_pos, the gap track_obstacles differences over.
+        c = Conjecture(0, "constant-velocity", gamma=1.0)
+        b = ObstacleBelief(last_pos=np.array([0.0, 0.0]),
+                           vel_mean=np.array([1.0, 0.0]),
+                           vel_cov=np.zeros((2, 2)), staleness=2,
+                           radius=0.35)
+        obs = _obs(Pose(9, 9, 0), [(0, (0.3, 0.0), 0.35)])
+        lik = likelihood(c, {0: b}, obs, Pose(9, 9, 0), 0.1, dt=0.1)
+        assert lik == pytest.approx(1.0 / (2.0 * math.pi * 0.01), rel=1e-9)
+
     def test_no_visible_obstacles_gives_unit(self):
         c = Conjecture(0, "static")
         lik = likelihood(c, {}, _obs(Pose(0, 0, 0), []), Pose(0, 0, 0), 0.1)

