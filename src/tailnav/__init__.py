@@ -3,7 +3,7 @@
 from .beliefs import (Conjecture, Posterior, default_family, likelihood,
                       track_obstacles, update_posterior)
 from .config import DEFAULT_CONFIG, fingerprint, load_config
-from .controllers import CONTROLLER_KINDS, Controller, make_controller
+from .controllers import CONTROLLER_KINDS, Controller
 from .geometry import (Disc, Pose, VelocityCommand, WallSegment, clearance,
                        goal_distance, normalize_angle, step_unicycle)
 from .harness import EpisodeRecord, load_records, replay, run_episode, run_suite
@@ -24,7 +24,7 @@ __all__ = [
     "clearance", "cvar_oracle", "check_prop_regret",
     "check_prop_uniform_cvar", "default_family", "empirical_cvar",
     "fingerprint", "goal_distance", "init_world", "likelihood",
-    "load_config", "load_records", "make_controller", "normalize_angle",
+    "load_config", "load_records", "normalize_angle",
     "paired_bootstrap", "replay", "run_episode", "run_suite", "sample_batch",
     "select_command", "step_unicycle", "step_world", "track_obstacles",
     "update_posterior",

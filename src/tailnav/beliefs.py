@@ -5,7 +5,7 @@ tempered, floored posterior over the finite model family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -24,6 +24,14 @@ KINDS = ("static", "constant-velocity", "yielding", "aggressive")
 
 
 @dataclass(frozen=True)
+class BeliefParams:
+    tau: float = 2.0
+    floor: float = 0.02
+    smoothing: float = 0.2
+    sigma_like_slack: float = 0.05  # added to sigma_obs for the likelihood scale
+
+
+@dataclass(frozen=True)
 class Conjecture:
     id: int
     kind: str
@@ -38,11 +46,7 @@ class Conjecture:
             raise ValueError(f"unknown conjecture kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id, "kind": self.kind, "gamma": self.gamma,
-            "d_yield": self.d_yield, "decel": self.decel,
-            "pursuit_gain": self.pursuit_gain, "sigma_theta": self.sigma_theta,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "Conjecture":

@@ -5,12 +5,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from .beliefs import Conjecture, default_family
-from .controllers import BeliefParams
+from .beliefs import BeliefParams, Conjecture, default_family
 from .planner import PlannerParams
-from .safety import FilterParams
+from .safety import ENV_FIELDS, FilterParams
 
 SCHEMA_VERSION = 1
 
@@ -21,31 +21,10 @@ DEFAULT_CONFIG: dict = {
         "controllers": ["rcsp-full", "dwa-style"],
         "seeds": [0, 1, 2, 3, 4, 5],
     },
-    "planner": {
-        "N": 64,
-        "H": 20,
-        "alpha": 0.1,
-        "risk_weight": 2.0,
-        "objective": "cvar",
-        "top_k": 6,
-        "c_safe": 0.5,
-        "fractional_tail": True,
-    },
-    "filter": {
-        "c_hard": 0.15,
-        "kappa": 0.5,
-        "horizon": 10,
-        "w_progress": 1.0,
-        "w_clearance": 2.0,
-        "w_deviation": 0.5,
-        "infeasible_penalty": 1000.0,
-    },
-    "beliefs": {
-        "tau": 2.0,
-        "floor": 0.02,
-        "smoothing": 0.2,
-        "sigma_like_slack": 0.05,
-    },
+    "planner": asdict(PlannerParams()),
+    "filter": {k: v for k, v in asdict(FilterParams()).items()
+               if k not in ENV_FIELDS},
+    "beliefs": asdict(BeliefParams()),
     "family": [c.to_dict() for c in default_family()],
     "env_overrides": {},
 }
@@ -62,12 +41,28 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults merged with an optional JSON config file."""
+    """Defaults merged with an optional JSON config file.
+
+    The parameter blocks and the family are built once here, so a stale
+    or mistyped key fails at load time rather than in every episode.
+    """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path) as f:
         user = json.load(f)
-    return _merge(DEFAULT_CONFIG, user)
+    config = _merge(DEFAULT_CONFIG, user)
+    try:
+        unknown = sorted(set(user) - set(DEFAULT_CONFIG))
+        if unknown:
+            raise ValueError(f"unknown top-level keys {unknown}")
+        planner_params_from_config(config)
+        # The filter defaults stand in for the environment-supplied fields.
+        filter_params_from_config(config, FilterParams())
+        belief_params_from_config(config)
+        family_from_config(config)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid config {path}: {exc}") from exc
+    return config
 
 
 def canonical_json(obj) -> str:
@@ -87,9 +82,7 @@ def planner_params_from_config(config: dict) -> PlannerParams:
 
 
 def filter_params_from_config(config: dict, env) -> FilterParams:
-    return FilterParams(dt=env.dt, robot_radius=env.robot_radius,
-                        v_max=env.v_max, omega_max=env.omega_max,
-                        **config["filter"])
+    return FilterParams.for_env(env, **config["filter"])
 
 
 def belief_params_from_config(config: dict) -> BeliefParams:

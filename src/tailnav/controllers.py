@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beliefs import (
+    BeliefParams,
     Conjecture,
     Posterior,
     default_family,
@@ -53,14 +54,6 @@ _SCENARIO_KINDS = ("rcsp-full", "rcsp-fixed-predictor", "mean-risk-filter",
 # RNG stream tag for per-decision scenario sampling; disjoint from the
 # world module's tags.
 _TAG_SCENARIO = 7
-
-
-@dataclass(frozen=True)
-class BeliefParams:
-    tau: float = 2.0
-    floor: float = 0.02
-    smoothing: float = 0.2
-    sigma_like_slack: float = 0.05  # added to sigma_obs for the likelihood scale
 
 
 @dataclass
@@ -100,8 +93,7 @@ class Controller:
             pp = replace(pp, objective="mean")
         self.planner_params = pp
         self.filter_params = filter_params if filter_params is not None else \
-            FilterParams(dt=env.dt, robot_radius=env.robot_radius,
-                         v_max=env.v_max, omega_max=env.omega_max)
+            FilterParams.for_env(env)
         self.belief_params = belief_params if belief_params is not None else \
             BeliefParams()
         self.lattice = lattice if lattice is not None else \
@@ -192,8 +184,3 @@ class Controller:
         if self.kind == "dwa-style":
             return self._decide_dwa(obs)
         return self._decide_goal_pd(obs)
-
-
-def make_controller(kind: str, env: EnvironmentConfig, seed: int,
-                    **kwargs) -> Controller:
-    return Controller(kind, env, seed, **kwargs)

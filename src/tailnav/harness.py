@@ -24,7 +24,7 @@ from .config import (
     load_config,
     planner_params_from_config,
 )
-from .controllers import CONTROLLER_KINDS, Controller
+from .controllers import Controller
 from .geometry import goal_distance
 from .world import (
     EnvironmentConfig,
@@ -124,8 +124,6 @@ def run_episode(env_name: str, controller_kind: str, seed: int,
     """Run one seeded episode to termination and compute its metrics."""
     if config is None:
         config = load_config()
-    if controller_kind not in CONTROLLER_KINDS:
-        raise ValueError(f"unknown controller kind {controller_kind!r}")
     env_cfg = build_episode_env(env_name, seed, config)
     state = init_world(env_cfg, seed)
 
@@ -191,11 +189,6 @@ def run_episode(env_name: str, controller_kind: str, seed: int,
     )
 
 
-def _run_job(args) -> EpisodeRecord:
-    env, controller, seed, config = args
-    return run_episode(env, controller, seed, config)
-
-
 def run_suite(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
     """Run the env x controller x seed grid and persist deterministic outputs.
 
@@ -254,7 +247,7 @@ def run_suite(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
 
 def _run_job_safe(args):
     try:
-        return _run_job(args)
+        return run_episode(*args)
     except Exception as exc:  # suite continues past per-episode failures
         return exc
 

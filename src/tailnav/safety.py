@@ -20,6 +20,11 @@ from .scenarios import robot_rollout_poses, walls_as_arrays
 from .world import Observation, StaticMap
 
 
+# FilterParams fields filled from the environment, not from the config's
+# "filter" block.
+ENV_FIELDS = ("dt", "robot_radius", "v_max", "omega_max")
+
+
 @dataclass(frozen=True)
 class FilterParams:
     c_hard: float = 0.15        # hard clearance margin, m
@@ -28,7 +33,6 @@ class FilterParams:
     w_progress: float = 1.0
     w_clearance: float = 2.0
     w_deviation: float = 0.5
-    infeasible_penalty: float = 1e3
     dt: float = 0.1
     robot_radius: float = 0.3
     v_max: float = 1.0
@@ -36,8 +40,13 @@ class FilterParams:
 
     def __post_init__(self):
         if min(self.c_hard, self.kappa, self.horizon, self.w_progress,
-               self.w_clearance, self.w_deviation, self.infeasible_penalty) <= 0:
+               self.w_clearance, self.w_deviation) <= 0:
             raise ValueError("filter parameters must be positive")
+
+    @classmethod
+    def for_env(cls, env, **params) -> "FilterParams":
+        """Filter parameters whose ENV_FIELDS are taken from env."""
+        return cls(**{k: getattr(env, k) for k in ENV_FIELDS}, **params)
 
 
 def filter_rollout(
@@ -106,9 +115,8 @@ def apply_filter(
     """Select the executed command from {u_nom} union the lattice.
 
     Feasible candidates are scored by progress, predicted clearance, and
-    closeness to u_nom; infeasible ones carry a large penalty.  If every
-    candidate is infeasible the filter falls back to the candidate with
-    the highest predicted clearance.
+    closeness to u_nom.  If every candidate is infeasible the filter falls
+    back to the candidate with the highest predicted clearance.
     """
     candidates = [u_nom] + list(lattice.commands)
 
@@ -137,8 +145,6 @@ def apply_filter(
         score = (params.w_progress * progress
                  + params.w_clearance * c_min
                  - params.w_deviation * command_deviation(u, u_nom, params))
-        if not feasible:
-            score -= params.infeasible_penalty
         key = tie_break_key(score, u, params.v_max, idx)
         if feasible and (not any_feasible or key < best_key):
             any_feasible = True

@@ -23,6 +23,7 @@ from .geometry import (
     VelocityCommand,
     WallSegment,
     clearance,
+    goal_distance,
     step_unicycle,
 )
 
@@ -188,16 +189,6 @@ class StepOutcome:
     executed: VelocityCommand
 
 
-def _outer_walls(bounds) -> list[WallSegment]:
-    x0, y0, x1, y1 = bounds
-    return [
-        WallSegment((x0, y0), (x1, y0)),
-        WallSegment((x1, y0), (x1, y1)),
-        WallSegment((x1, y1), (x0, y1)),
-        WallSegment((x0, y1), (x0, y0)),
-    ]
-
-
 def _rect_walls(x0, y0, x1, y1) -> list[WallSegment]:
     return [
         WallSegment((x0, y0), (x1, y0)),
@@ -243,7 +234,7 @@ def build_environment(name: str, seed: int) -> tuple[EnvironmentConfig, "WorldSt
         gap_center = 5.0 + 0.8 * (rng.random() - 0.5)
         lo = gap_center - gap_width / 2.0
         hi = gap_center + gap_width / 2.0
-        walls = _outer_walls(bounds)
+        walls = _rect_walls(*bounds)
         # Thick interior barrier: the slab corners make sidling along the
         # wall toward the gap progressively costly instead of just flat.
         walls.extend(_rect_walls(5.5, 0.0, 6.0, lo))
@@ -275,7 +266,7 @@ def build_environment(name: str, seed: int) -> tuple[EnvironmentConfig, "WorldSt
         )
     elif name == "warehouse-squeeze":
         aisle_lo, aisle_hi = 3.9, 6.3
-        walls = _outer_walls(bounds)
+        walls = _rect_walls(*bounds)
         walls.extend(_rect_walls(4.5, 0.0, 8.5, aisle_lo))
         walls.extend(_rect_walls(4.5, aisle_hi, 8.5, 10.0))
         # Parallel channel walls on the approach: they keep evasive
@@ -489,7 +480,6 @@ def step_world(
     state.robot = robot
     state.step += 1
 
-    from .geometry import goal_distance
     if min_clear < 0.0:
         status = "collision"
     elif goal_distance(robot, config.goal) <= config.goal_radius:

@@ -35,6 +35,26 @@ class TestConfig:
         assert cfg["planner"]["alpha"] == 0.25
         assert cfg["planner"]["N"] == 64
 
+    def test_stale_filter_key_rejected_at_load(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"filter": {"infeasible_penalty": 1000.0}}))
+        with pytest.raises(ValueError, match="infeasible_penalty"):
+            load_config(p)
+
+    @pytest.mark.parametrize("user, named", [
+        ({"planner": {"alhpa": 0.2}}, "alhpa"),
+        ({"planner": {"alpha": 2.0}}, "alpha"),
+        ({"filter": {"dt": 0.2}}, "dt"),
+        ({"beliefs": {"tua": 1.0}}, "tua"),
+        ({"family": [{"id": 0, "kind": "static", "gama": 1.0}]}, "gama"),
+        ({"planer": {"alpha": 0.2}}, "planer"),
+    ])
+    def test_bad_key_or_value_named_at_load(self, tmp_path, user, named):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(user))
+        with pytest.raises(ValueError, match=named):
+            load_config(p)
+
     def test_fingerprint_sensitive_to_values(self):
         a = load_config()
         b = load_config()

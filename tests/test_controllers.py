@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from tailnav.controllers import (
-    CONTROLLER_KINDS,
-    BeliefParams,
-    Controller,
-    make_controller,
-)
+from tailnav.beliefs import BeliefParams
+from tailnav.controllers import CONTROLLER_KINDS, Controller
 from tailnav.geometry import Disc, VelocityCommand, clearance, step_unicycle
 from tailnav.planner import PlannerParams
 from tailnav.world import build_environment, init_world, observe, step_world
@@ -23,7 +19,7 @@ def open_env():
 class TestConstruction:
     def test_all_kinds_constructible(self, open_env):
         for kind in CONTROLLER_KINDS:
-            c = make_controller(kind, open_env, 0)
+            c = Controller(kind, open_env, 0)
             assert c.kind == kind
 
     def test_unknown_kind_rejected(self, open_env):
