@@ -5,12 +5,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .beliefs import BeliefParams, Conjecture, default_family
+from .controllers import CONTROLLER_KINDS
 from .planner import PlannerParams
 from .safety import ENV_FIELDS, FilterParams
+from .world import EnvironmentConfig, build_environment
 
 SCHEMA_VERSION = 1
 
@@ -43,8 +45,9 @@ def _merge(base: dict, override: dict) -> dict:
 def load_config(path: str | Path | None = None) -> dict:
     """Defaults merged with an optional JSON config file.
 
-    The parameter blocks and the family are built once here, so a stale
-    or mistyped key fails at load time rather than in every episode.
+    The suite grid is checked and the parameter blocks and the family are
+    built once here, so a stale or mistyped key or a kind or environment
+    that does not exist fails at load time rather than in every episode.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -55,6 +58,7 @@ def load_config(path: str | Path | None = None) -> dict:
         unknown = sorted(set(user) - set(DEFAULT_CONFIG))
         if unknown:
             raise ValueError(f"unknown top-level keys {unknown}")
+        check_suite(config)
         planner_params_from_config(config)
         # The filter defaults stand in for the environment-supplied fields.
         filter_params_from_config(config, FilterParams())
@@ -63,6 +67,29 @@ def load_config(path: str | Path | None = None) -> dict:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid config {path}: {exc}") from exc
     return config
+
+
+def check_suite(config: dict) -> None:
+    """Reject a suite grid or env_overrides key that cannot run as meant."""
+    suite = config["suite"]
+    unknown = sorted(set(suite) - set(DEFAULT_CONFIG["suite"]))
+    if unknown:
+        raise ValueError(f"unknown suite keys {unknown}")
+    envs, controllers, seeds = (suite["environments"], suite["controllers"],
+                                suite["seeds"])
+    if not envs or not controllers or not seeds:
+        raise ValueError("suite lists must be nonempty")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("suite seeds must be distinct")
+    bad = sorted(set(controllers) - set(CONTROLLER_KINDS))
+    if bad:
+        raise ValueError(f"unknown controller kinds {bad}")
+    for name in envs:
+        build_environment(name, 0)
+    known = {f.name for f in fields(EnvironmentConfig)}
+    unknown = sorted(set(config.get("env_overrides", {})) - known)
+    if unknown:
+        raise ValueError(f"unknown env_overrides keys {unknown}")
 
 
 def canonical_json(obj) -> str:

@@ -94,16 +94,6 @@ def step_unicycle(pose: Pose, cmd: VelocityCommand, dt: float) -> Pose:
     return Pose(x, y, normalize_angle(th_new))
 
 
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance from point p to segment ab."""
-    ab = b - a
-    denom = float(ab @ ab)
-    t = float((p - a) @ ab) / denom
-    t = min(max(t, 0.0), 1.0)
-    closest = a + t * ab
-    return float(np.hypot(*(p - closest)))
-
-
 def clearance(
     robot: Disc,
     obstacles: Sequence[Disc] = (),
@@ -111,19 +101,17 @@ def clearance(
 ) -> float:
     """Signed minimum clearance of a robot disc against discs and walls.
 
-    Negative iff the robot overlaps something.  Empty scenes return the
-    EMPTY_CLEARANCE sentinel.
+    The Disc/WallSegment view of `clearance_points`, so the simulator and
+    the planner share one arithmetic.  Negative iff the robot overlaps
+    something.  Empty scenes return the EMPTY_CLEARANCE sentinel.
     """
-    c = EMPTY_CLEARANCE
-    rc = np.asarray(robot.center, dtype=float)
-    for ob in obstacles:
-        d = float(np.hypot(rc[0] - ob.center[0], rc[1] - ob.center[1]))
-        c = min(c, d - robot.radius - ob.radius)
-    for w in walls:
-        d = point_segment_distance(rc, np.asarray(w.a, dtype=float),
-                                   np.asarray(w.b, dtype=float))
-        c = min(c, d - robot.radius)
-    return c
+    obstacle_xy = np.array([ob.center for ob in obstacles],
+                           dtype=float).reshape(-1, 2)
+    radii = np.array([ob.radius for ob in obstacles], dtype=float)
+    ends = np.array([(w.a, w.b) for w in walls], dtype=float).reshape(-1, 2, 2)
+    return float(clearance_points(np.asarray(robot.center, dtype=float),
+                                  robot.radius, obstacle_xy, radii,
+                                  ends[:, 0], ends[:, 1]))
 
 
 def clearance_points(

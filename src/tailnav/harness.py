@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import (
     SCHEMA_VERSION,
     belief_params_from_config,
+    check_suite,
     family_from_config,
     filter_params_from_config,
     fingerprint,
@@ -196,18 +197,12 @@ def run_suite(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
     (all byte-deterministic) and latencies.csv (wall-clock, not covered by
     the determinism contract).  Returns the summary rows and counts.
     """
+    check_suite(config)
     suite = config["suite"]
-    envs = suite["environments"]
-    controllers = suite["controllers"]
-    seeds = suite["seeds"]
-    if not envs or not controllers or not seeds:
-        raise ValueError("suite lists must be nonempty")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("suite seeds must be distinct")
-
     jobs = [(e, c, s, config)
-            for e in sorted(envs) for c in sorted(controllers)
-            for s in sorted(seeds)]
+            for e in sorted(suite["environments"])
+            for c in sorted(suite["controllers"])
+            for s in sorted(suite["seeds"])]
     records: list[EpisodeRecord] = []
     failures: list[dict] = []
     if workers > 1:
@@ -315,17 +310,12 @@ def load_records(path: str | Path) -> list[EpisodeRecord]:
     return records
 
 
-def replay(record: EpisodeRecord | str | Path) -> dict:
-    """Re-simulate a record from its logged commands and verify the trace.
+def replay(record: EpisodeRecord) -> dict:
+    """Re-simulate one record from its logged commands and verify the trace.
 
     Returns {"match": bool, "first_divergence": step or None, "steps": n}.
-    Raises on schema-version mismatch.
+    Raises on schema-version mismatch.  Use load_records to read a file.
     """
-    if not isinstance(record, EpisodeRecord):
-        recs = load_records(record)
-        if len(recs) != 1:
-            return {"records": [replay(r) for r in recs]}
-        record = recs[0]
     if record.schema_version != SCHEMA_VERSION:
         raise ValueError(
             f"record schema {record.schema_version} != current {SCHEMA_VERSION}")

@@ -461,28 +461,22 @@ def step_world(
         disp[i] = vel * config.dt
 
     sub_dt = config.dt / N_SUBSTEPS
-    robot = state.robot
     min_clear = math.inf
-    for k in range(N_SUBSTEPS):
-        robot = step_unicycle(robot, executed, sub_dt)
+    for _ in range(N_SUBSTEPS):
+        state.robot = step_unicycle(state.robot, executed, sub_dt)
         state.positions += disp / N_SUBSTEPS
-        discs = [Disc(tuple(state.positions[i]), config.obstacles[i].radius)
-                 for i in range(n)]
-        c = clearance(Disc((robot.x, robot.y), config.robot_radius),
-                      discs, config.static_map.walls)
-        min_clear = min(min_clear, c)
+        min_clear = min(min_clear, current_clearance(state, config))
 
     # Keep obstacle centers inside bounds.
     x0, y0, x1, y1 = config.static_map.bounds
     np.clip(state.positions[:, 0], x0, x1, out=state.positions[:, 0])
     np.clip(state.positions[:, 1], y0, y1, out=state.positions[:, 1])
 
-    state.robot = robot
     state.step += 1
 
     if min_clear < 0.0:
         status = "collision"
-    elif goal_distance(robot, config.goal) <= config.goal_radius:
+    elif goal_distance(state.robot, config.goal) <= config.goal_radius:
         status = "success"
     elif state.step >= config.max_steps:
         status = "timeout"

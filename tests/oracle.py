@@ -1,4 +1,4 @@
-"""Per-command scalar scoring: the exactness oracle for the lattice kernel.
+"""Scalar references: the exactness oracles for the batched kernels.
 
 `score_command` rolls one command against every scenario on its own,
 re-propagating each reactive scenario against that command's path, the
@@ -6,15 +6,29 @@ way the planner scored commands before it stepped the whole lattice at
 once.  `planner.select_command` must reproduce its per-scenario risks,
 tail risk, reward and objective bit for bit.  The rollout helpers here
 back the scenario tests that check one command against one scenario.
+
+`scalar_clearance` loops over obstacles and walls one at a time with
+`point_segment_distance`, the way the simulator measured clearance
+before it shared `clearance_points` with the planner; it agrees with
+`clearance_points` to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from tailnav.geometry import Pose, VelocityCommand, clearance_points, goal_distance
+from tailnav.geometry import (
+    EMPTY_CLEARANCE,
+    Disc,
+    Pose,
+    VelocityCommand,
+    WallSegment,
+    clearance_points,
+    goal_distance,
+)
 from tailnav.planner import CommandScore, PlannerParams, empirical_cvar
 from tailnav.scenarios import (
     Scenario,
@@ -25,6 +39,34 @@ from tailnav.scenarios import (
     walls_as_arrays,
 )
 from tailnav.world import StaticMap
+
+
+def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance from point p to segment ab."""
+    ab = b - a
+    denom = float(ab @ ab)
+    t = float((p - a) @ ab) / denom
+    t = min(max(t, 0.0), 1.0)
+    closest = a + t * ab
+    return float(np.hypot(*(p - closest)))
+
+
+def scalar_clearance(
+    robot: Disc,
+    obstacles: Sequence[Disc] = (),
+    walls: Sequence[WallSegment] = (),
+) -> float:
+    """Signed minimum clearance, one obstacle and one wall at a time."""
+    c = EMPTY_CLEARANCE
+    rc = np.asarray(robot.center, dtype=float)
+    for ob in obstacles:
+        d = float(np.hypot(rc[0] - ob.center[0], rc[1] - ob.center[1]))
+        c = min(c, d - robot.radius - ob.radius)
+    for w in walls:
+        d = point_segment_distance(rc, np.asarray(w.a, dtype=float),
+                                   np.asarray(w.b, dtype=float))
+        c = min(c, d - robot.radius)
+    return c
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=named):
             load_config(p)
 
+    @pytest.mark.parametrize("user, named", [
+        ({"suite": {"controllers": ["goal-pd", "rcsp-ful"]}}, "rcsp-ful"),
+        ({"suite": {"environments": ["open-spaec"]}}, "open-spaec"),
+        ({"suite": {"seeds": []}}, "nonempty"),
+        ({"suite": {"seeds": [0, 1, 0]}}, "distinct"),
+        ({"suite": {"seed": [0]}}, "seed"),
+        ({"env_overrides": {"dtt": 0.2}}, "dtt"),
+    ])
+    def test_bad_suite_or_env_override_named_at_load(self, tmp_path, user,
+                                                      named):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(user))
+        with pytest.raises(ValueError, match=f"invalid config .*{named}"):
+            load_config(p)
+
+    def test_env_override_fields_accepted(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"env_overrides": {"dt": 0.2}}))
+        assert load_config(p)["env_overrides"] == {"dt": 0.2}
+
     def test_fingerprint_sensitive_to_values(self):
         a = load_config()
         b = load_config()

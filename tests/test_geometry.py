@@ -14,9 +14,9 @@ from tailnav.geometry import (
     clearance_points,
     goal_distance,
     normalize_angle,
-    point_segment_distance,
     step_unicycle,
 )
+from oracle import point_segment_distance, scalar_clearance
 
 
 def euler_rollout(pose, cmd, duration, n_steps):
@@ -174,7 +174,25 @@ class TestClearancePoints:
         batch = clearance_points(pts, 0.3, obstacle_xy, radii, wall_a, wall_b)
         for p, c in zip(pts, batch):
             assert c == pytest.approx(
-                clearance(Disc(tuple(p), 0.3), discs, walls), abs=1e-12)
+                scalar_clearance(Disc(tuple(p), 0.3), discs, walls), abs=1e-12)
+
+    def test_disc_view_is_bit_identical(self):
+        # The simulator's clearance and the planner's share one arithmetic.
+        rng = np.random.default_rng(5)
+        scenes = [(0, 0)] + [tuple(rng.integers(0, 4, 2)) for _ in range(1000)]
+        for n_obs, n_walls in scenes:
+            robot_xy = rng.uniform(-4, 4, 2)
+            obstacle_xy = rng.uniform(-4, 4, (n_obs, 2))
+            radii = rng.uniform(0.1, 0.6, n_obs)
+            wall_a = rng.uniform(-4, 4, (n_walls, 2))
+            wall_b = wall_a + rng.uniform(0.5, 2.0, (n_walls, 2))
+            c = clearance(
+                Disc(tuple(robot_xy), 0.3),
+                [Disc(tuple(p), r) for p, r in zip(obstacle_xy, radii)],
+                [WallSegment(tuple(a), tuple(b))
+                 for a, b in zip(wall_a, wall_b)])
+            assert c == clearance_points(robot_xy, 0.3, obstacle_xy, radii,
+                                         wall_a, wall_b)
 
     def test_empty_scene_sentinel(self):
         c = clearance_points(np.zeros((4, 2)), 0.3, np.zeros((0, 2)),
