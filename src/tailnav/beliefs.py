@@ -5,7 +5,7 @@ tempered, floored posterior over the finite model family.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -70,9 +70,17 @@ def default_family() -> tuple[Conjecture, ...]:
 class ObstacleBelief:
     last_pos: np.ndarray            # (2,) last observed position
     vel_mean: np.ndarray            # (2,) smoothed velocity estimate, m/s
-    vel_cov: np.ndarray             # (2, 2) symmetric PSD
+    vel_cov: np.ndarray             # (2, 2) isotropic, c * I with c >= 0
     staleness: int                  # steps since last seen
     radius: float
+
+    def __post_init__(self):
+        # The tracker only produces c * I and sample_batch draws velocities
+        # with the one variance c, so reject any covariance it would misread.
+        cov = np.asarray(self.vel_cov, dtype=float)
+        if not (cov.shape == (2, 2) and cov[0, 0] >= 0.0
+                and cov[0, 0] == cov[1, 1] and cov[0, 1] == cov[1, 0] == 0.0):
+            raise ValueError("vel_cov must be c * I with c >= 0")
 
 
 @dataclass(frozen=True)
@@ -230,35 +238,3 @@ def track_obstacles(beliefs: Mapping[int, ObstacleBelief], obs: Observation,
             staleness=old.staleness + 1,
         )
     return updated
-
-
-def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(cov)
-    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-def belief_cov_sqrts(
-    beliefs: Mapping[int, ObstacleBelief],
-) -> dict[int, np.ndarray]:
-    """Matrix square roots of the velocity covariances, keyed by id."""
-    return {oid: _cov_sqrt(beliefs[oid].vel_cov) for oid in sorted(beliefs)}
-
-
-def sample_obstacle_state(
-    beliefs: Mapping[int, ObstacleBelief], rng: np.random.Generator,
-    cov_sqrts: Mapping[int, np.ndarray] | None = None,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Draw one full obstacle state (positions and velocities).
-
-    Positions are the last observed positions; velocities are Gaussian
-    draws from each belief.  Iteration is in sorted id order so the draw
-    sequence is deterministic.  Precomputed covariance square roots may be
-    passed when sampling many states from the same beliefs.
-    """
-    state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for oid in sorted(beliefs):
-        b = beliefs[oid]
-        z = rng.standard_normal(2)
-        sq = cov_sqrts[oid] if cov_sqrts is not None else _cov_sqrt(b.vel_cov)
-        state[oid] = (b.last_pos.copy(), b.vel_mean + sq @ z)
-    return state

@@ -70,7 +70,7 @@ def load_config(path: str | Path | None = None) -> dict:
 
 
 def check_suite(config: dict) -> None:
-    """Reject a suite grid or env_overrides key that cannot run as meant."""
+    """Reject a suite grid or env_overrides entry that cannot run as meant."""
     suite = config["suite"]
     unknown = sorted(set(suite) - set(DEFAULT_CONFIG["suite"]))
     if unknown:
@@ -84,12 +84,24 @@ def check_suite(config: dict) -> None:
     bad = sorted(set(controllers) - set(CONTROLLER_KINDS))
     if bad:
         raise ValueError(f"unknown controller kinds {bad}")
-    for name in envs:
-        build_environment(name, 0)
     known = {f.name for f in fields(EnvironmentConfig)}
     unknown = sorted(set(config.get("env_overrides", {})) - known)
     if unknown:
         raise ValueError(f"unknown env_overrides keys {unknown}")
+    for name in envs:
+        for seed in seeds:
+            build_episode_env(name, seed, config)
+
+
+def build_episode_env(env_name: str, seed: int, config: dict) -> EnvironmentConfig:
+    """The named environment with the config's env_overrides applied."""
+    env_cfg, _state = build_environment(env_name, seed)
+    overrides = config.get("env_overrides", {})
+    if overrides:
+        d = env_cfg.to_dict()
+        d.update(overrides)
+        env_cfg = EnvironmentConfig.from_dict(d)
+    return env_cfg
 
 
 def canonical_json(obj) -> str:

@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import (
     SCHEMA_VERSION,
     belief_params_from_config,
+    build_episode_env,
     check_suite,
     family_from_config,
     filter_params_from_config,
@@ -30,7 +31,6 @@ from .geometry import goal_distance
 from .world import (
     EnvironmentConfig,
     VelocityCommand,
-    build_environment,
     init_world,
     observe,
     step_world,
@@ -108,16 +108,6 @@ class EpisodeRecord:
             env_config=d["env_config"], rows=d["rows"],
             metrics=EpisodeMetrics(**m),
         )
-
-
-def build_episode_env(env_name: str, seed: int, config: dict) -> EnvironmentConfig:
-    env_cfg, _state = build_environment(env_name, seed)
-    overrides = config.get("env_overrides", {})
-    if overrides:
-        d = env_cfg.to_dict()
-        d.update(overrides)
-        env_cfg = EnvironmentConfig.from_dict(d)
-    return env_cfg
 
 
 def run_episode(env_name: str, controller_kind: str, seed: int,

@@ -144,42 +144,35 @@ def lattice_risks(
     are propagated once per conjecture, with a command axis, against each
     command's reaction sequence.
     """
-    scen = batch.scenarios
     U, H = paths.shape[0], batch.horizon
-    radii = scen[0].radii
-    obstacles = np.empty((U, len(scen)) + radii.shape + (2,))
+    radii = batch.radii
+    obstacles = np.empty((U,) + batch.init_positions.shape)
 
     # Lay the scenario axis out as the non-reactive scenarios followed by
     # one contiguous span per reactive conjecture; `order` maps it back.
     # A span's slots of `obstacles` carry its positions from step to step.
-    nonreactive = [i for i, s in enumerate(scen) if not s.reactive]
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(scen):
-        if s.reactive:
-            groups.setdefault(s.conjecture.id, []).append(i)
-    order = nonreactive + [i for idxs in groups.values() for i in idxs]
+    ids, reactive = batch.conjecture_ids, batch.reactive
+    nonreactive = np.flatnonzero(~reactive)
+    members = [np.flatnonzero(ids == cid) for cid in np.unique(ids[reactive])]
+    order = np.concatenate([nonreactive, *members])
     M = len(nonreactive)
-    if M:
-        canonical = np.stack([scen[i].trajectory for i in nonreactive],
-                             axis=1)                              # (H,M,n,2)
+    canonical = batch.trajectories[nonreactive]                   # (M,H,n,2)
     spans = []        # (scenario slice, conjecture, velocities, noise)
     lo = M
-    for idxs in groups.values():
-        members = [scen[i] for i in idxs]
-        span = slice(lo, lo + len(idxs))
+    for idx in members:
+        span = slice(lo, lo + len(idx))
         lo = span.stop
-        obstacles[:, span] = np.stack([s.init_positions for s in members])
-        spans.append((span, members[0].conjecture,
-                      np.stack([s.init_velocities for s in members]),
-                      np.stack([s.noise for s in members], axis=1)))
+        obstacles[:, span] = batch.init_positions[idx]
+        spans.append((span, batch.family[int(ids[idx[0]])],
+                      batch.init_velocities[idx],
+                      np.moveaxis(batch.noise[idx], 0, 1)))
     reaction = np.stack([reaction_sequence(start, xy) for xy in paths])
     reaction = reaction[:, :, None, None, :]                      # (U,H,1,1,2)
 
     wall_a, wall_b = walls_as_arrays(static_map)
     risk = None
     for k in range(H):
-        if M:
-            obstacles[:, :M] = canonical[k]
+        obstacles[:, :M] = canonical[:, k]
         for span, conj, vel, noise in spans:
             obstacles[:, span] = step_obstacles(
                 conj, obstacles[:, span], vel, reaction[:, k], noise[k],

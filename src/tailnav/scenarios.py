@@ -4,18 +4,12 @@ rollouts under a constant command."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .beliefs import (
-    Conjecture,
-    ObstacleBelief,
-    Posterior,
-    belief_cov_sqrts,
-    conjectured_velocity,
-    sample_obstacle_state,
-)
+from .beliefs import Conjecture, ObstacleBelief, Posterior, conjectured_velocity
 from .geometry import Pose, VelocityCommand, step_unicycle
 # Re-exported, not called here: tools that patch clearance evaluation by
 # module attribute look it up in this module as well.
@@ -37,6 +31,8 @@ class InformationState:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One scenario of a batch, a view of the batch arrays' slices."""
+
     conjecture: Conjecture
     obstacle_ids: tuple[int, ...]
     init_positions: np.ndarray   # (n, 2)
@@ -52,11 +48,38 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioBatch:
-    scenarios: tuple[Scenario, ...]
+    conjecture_ids: np.ndarray   # (N,) index into family per scenario
+    family: tuple[Conjecture, ...]
+    obstacle_ids: tuple[int, ...]
+    radii: np.ndarray            # (n,)
+    init_positions: np.ndarray   # (N, n, 2)
+    init_velocities: np.ndarray  # (N, n, 2)
+    noise: np.ndarray            # (N, H, n, 2) per-step velocity noise, m/s
+    trajectories: np.ndarray     # (N, H, n, 2) propagated with the robot frozen
     step: int
     horizon: int
     dt: float
     robot_radius: float
+
+    @property
+    def reactive(self) -> np.ndarray:
+        """(N,) mask of the scenarios whose conjecture reacts to the robot."""
+        kinds = np.array([c.kind in REACTIVE_KINDS for c in self.family])
+        return kinds[self.conjecture_ids]
+
+    @cached_property
+    def scenarios(self) -> tuple[Scenario, ...]:
+        """One Scenario view per scenario, sliced from the arrays on first
+        access; sampling and scoring never build them."""
+        return tuple(
+            Scenario(
+                conjecture=self.family[int(c)], obstacle_ids=self.obstacle_ids,
+                init_positions=self.init_positions[i],
+                init_velocities=self.init_velocities[i], radii=self.radii,
+                noise=self.noise[i], trajectory=self.trajectories[i],
+            )
+            for i, c in enumerate(self.conjecture_ids)
+        )
 
 
 def propagate_obstacles(
@@ -130,10 +153,11 @@ def sample_batch(
     Conjecture indices come from the top-k-renormalized posterior, current
     obstacle states from the velocity beliefs, and future motion adds
     per-step Gaussian process noise.  Every scenario draws from its own
-    spawned substream, so the batch is reproducible and independent of
-    evaluation order.  The canonical trajectories hold the robot frozen at
-    its current pose; the planner re-propagates reactive scenarios against
-    each command's path.
+    spawned substream, first the standard normals of its obstacles'
+    velocities in sorted id order and then its noise, so the batch is
+    reproducible and independent of evaluation order.  The canonical
+    trajectories hold the robot frozen at its current pose; the planner
+    re-propagates reactive scenarios against each command's path.
     """
     if N < 1 or H < 1:
         raise ValueError("N and H must be at least 1")
@@ -145,25 +169,25 @@ def sample_batch(
 
     ids = tuple(sorted(info.beliefs))
     n = len(ids)
-    radii = np.array([info.beliefs[i].radius for i in ids], dtype=float)
+    beliefs = [info.beliefs[o] for o in ids]
+    radii = np.array([b.radius for b in beliefs], dtype=float)
+    last_pos = np.array([b.last_pos for b in beliefs], dtype=float).reshape(n, 2)
+    vel_mean = np.array([b.vel_mean for b in beliefs], dtype=float).reshape(n, 2)
+    # Beliefs hold isotropic covariances c*I; c is the velocity variance.
+    var = np.array([b.vel_cov[0, 0] for b in beliefs], dtype=float)
     robot_xy = np.array([info.robot.x, info.robot.y])
     frozen_seq = np.broadcast_to(robot_xy, (H, 2))
-    cov_sqrts = belief_cov_sqrts(info.beliefs)
 
-    init_pos = np.empty((N, n, 2))
-    init_vel = np.empty((N, n, 2))
-    noise = np.empty((N, H, n, 2))
-    for i in range(N):
-        conj = info.family[int(conj_ids[i])]
-        rng = np.random.default_rng(children[i])
-        state = sample_obstacle_state(info.beliefs, rng, cov_sqrts)
-        for j, o in enumerate(ids):
-            init_pos[i, j] = state[o][0]
-            init_vel[i, j] = state[o][1]
-        if conj.sigma_theta > 0:
-            noise[i] = rng.normal(0.0, conj.sigma_theta, (H, n, 2))
-        else:
-            noise[i] = 0.0
+    z = np.empty((N, n, 2))
+    noise = np.zeros((N, H, n, 2))
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        z[i] = rng.standard_normal((n, 2))
+        sigma = info.family[int(conj_ids[i])].sigma_theta
+        if sigma > 0:
+            noise[i] = rng.normal(0.0, sigma, (H, n, 2))
+    init_pos = np.broadcast_to(last_pos, (N, n, 2)).copy()
+    init_vel = vel_mean + np.sqrt(var)[:, None] * z
 
     # Canonical trajectories, propagated once per conjecture over the stack
     # of scenarios that drew it.
@@ -175,16 +199,11 @@ def sample_batch(
             np.moveaxis(noise[sel], 0, 1), dt)
         traj[sel] = np.moveaxis(group, 0, 1)
 
-    scenarios = tuple(
-        Scenario(
-            conjecture=info.family[int(conj_ids[i])], obstacle_ids=ids,
-            init_positions=init_pos[i], init_velocities=init_vel[i],
-            radii=radii, noise=noise[i], trajectory=traj[i],
-        )
-        for i in range(N)
-    )
-    return ScenarioBatch(scenarios=scenarios, step=step,
-                         horizon=H, dt=dt, robot_radius=robot_radius)
+    return ScenarioBatch(
+        conjecture_ids=conj_ids, family=info.family, obstacle_ids=ids,
+        radii=radii, init_positions=init_pos, init_velocities=init_vel,
+        noise=noise, trajectories=traj, step=step, horizon=H, dt=dt,
+        robot_radius=robot_radius)
 
 
 def robot_rollout_poses(u: VelocityCommand, start: Pose, H: int,

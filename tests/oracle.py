@@ -7,6 +7,11 @@ once.  `planner.select_command` must reproduce its per-scenario risks,
 tail risk, reward and objective bit for bit.  The rollout helpers here
 back the scenario tests that check one command against one scenario.
 
+`sample_obstacle_state` draws one obstacle state from one generator,
+obstacle by obstacle in sorted id order, the way scenario sampling drew
+each scenario's velocities before it drew them as one array;
+`scenarios.sample_batch` must consume every substream the same way.
+
 `scalar_clearance` loops over obstacles and walls one at a time with
 `point_segment_distance`, the way the simulator measured clearance
 before it shared `clearance_points` with the planner; it agrees with
@@ -16,10 +21,11 @@ before it shared `clearance_points` with the planner; it agrees with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from tailnav.beliefs import ObstacleBelief
 from tailnav.geometry import (
     EMPTY_CLEARANCE,
     Disc,
@@ -39,6 +45,24 @@ from tailnav.scenarios import (
     walls_as_arrays,
 )
 from tailnav.world import StaticMap
+
+
+def sample_obstacle_state(
+    beliefs: Mapping[int, ObstacleBelief], rng: np.random.Generator,
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Draw one full obstacle state (positions and velocities).
+
+    Positions are the last observed positions; velocities are Gaussian
+    draws with each belief's isotropic variance.  Iteration is in sorted id
+    order so the draw sequence is deterministic.
+    """
+    state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for oid in sorted(beliefs):
+        b = beliefs[oid]
+        z = rng.standard_normal(2)
+        vel = b.vel_mean + np.sqrt(b.vel_cov[0, 0]) * z
+        state[oid] = (b.last_pos.copy(), vel)
+    return state
 
 
 def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -12,12 +12,13 @@ from tailnav.beliefs import (
     default_family,
     likelihood,
     predict_obstacle,
-    sample_obstacle_state,
     track_obstacles,
     update_posterior,
 )
 from tailnav.geometry import Pose
 from tailnav.world import Observation
+
+from oracle import sample_obstacle_state
 
 
 def _belief(pos, vel, cov_scale=0.0, radius=0.35):
@@ -214,6 +215,20 @@ class TestPosterior:
     def test_entropy_and_mode(self):
         assert Posterior.uniform(4).entropy() == pytest.approx(math.log(4.0))
         assert Posterior(np.array([0.1, 0.7, 0.2])).mode() == 1
+
+
+class TestObstacleBelief:
+    @pytest.mark.parametrize("cov", [
+        [[1.0, 0.2], [0.2, 1.0]],
+        np.diag([1.0, 2.0]),
+        -np.eye(2),
+    ])
+    def test_covariance_the_sampler_cannot_honour_rejected(self, cov):
+        # Scenario sampling draws velocities with the one variance
+        # vel_cov[0, 0]; any other covariance would be sampled wrongly.
+        with pytest.raises(ValueError, match="vel_cov"):
+            ObstacleBelief(last_pos=np.zeros(2), vel_mean=np.zeros(2),
+                           vel_cov=np.asarray(cov), staleness=0, radius=0.35)
 
 
 class TestTrackObstacles:

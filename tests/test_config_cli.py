@@ -62,6 +62,7 @@ class TestConfig:
         ({"suite": {"seeds": [0, 1, 0]}}, "distinct"),
         ({"suite": {"seed": [0]}}, "seed"),
         ({"env_overrides": {"dtt": 0.2}}, "dtt"),
+        ({"env_overrides": {"dt": -0.1}}, "dt and max_steps must be positive"),
     ])
     def test_bad_suite_or_env_override_named_at_load(self, tmp_path, user,
                                                       named):

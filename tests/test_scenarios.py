@@ -20,6 +20,7 @@ from tailnav.world import StaticMap
 from oracle import (
     progress_reward,
     rollout_command,
+    sample_obstacle_state,
     scenario_trajectory,
     trajectory_risk,
 )
@@ -113,6 +114,32 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(info, 10, 0, 6, np.random.SeedSequence(0),
                          dt=0.1, robot_radius=0.3)
+
+    def test_substreams_drawn_like_the_per_obstacle_oracle(self):
+        # Each scenario draws its velocities obstacle by obstacle in sorted
+        # id order from its own spawned substream, then its noise; the dict
+        # order of the beliefs and a noise-free conjecture change nothing.
+        beliefs = {7: _belief((3.0, 1.0), (0.4, -0.2), cov_scale=0.04),
+                   2: _belief((-1.0, 2.0), (0.0, 0.3), cov_scale=1.0)}
+        family = (Conjecture(0, "constant-velocity"),
+                  Conjecture(1, "static", sigma_theta=0.0),
+                  Conjecture(2, "yielding", sigma_theta=0.1))
+        N, H = 24, 5
+        batch = sample_batch(_info(beliefs, family=family), N, H, 3,
+                             np.random.SeedSequence((3, 1, 4)),
+                             dt=0.1, robot_radius=0.3)
+        assert batch.obstacle_ids == (2, 7)
+        assert 1 in batch.conjecture_ids
+        children = np.random.SeedSequence((3, 1, 4)).spawn(N)
+        for i, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            state = sample_obstacle_state(beliefs, rng)
+            vel = np.array([state[o][1] for o in (2, 7)])
+            sigma = family[batch.conjecture_ids[i]].sigma_theta
+            noise = (rng.normal(0.0, sigma, (H, 2, 2)) if sigma > 0
+                     else np.zeros((H, 2, 2)))
+            assert np.array_equal(batch.init_velocities[i], vel)
+            assert np.array_equal(batch.noise[i], noise)
 
     def test_trajectories_have_horizon_length_and_finite(self):
         info = _info({0: _belief((3.0, 1.0), (0.4, -0.2), cov_scale=0.04)})
