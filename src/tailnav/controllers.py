@@ -26,17 +26,23 @@ from .beliefs import (
     update_posterior,
 )
 from .geometry import (
-    Disc,
-    Pose,
     VelocityCommand,
-    clearance,
+    clearance_points,
     goal_distance,
     normalize_angle,
-    step_unicycle,
 )
+# Re-exported, not called here: tools that patch clearance evaluation and
+# the unicycle step by module attribute look them up in this module as well.
+from .geometry import clearance, step_unicycle  # noqa: F401
 from .planner import CommandLattice, PlannerParams, select_command
 from .safety import FilterParams, apply_filter
-from .scenarios import InformationState, sample_batch
+from .scenarios import (
+    InformationState,
+    lattice_paths,
+    obstacles_as_arrays,
+    sample_batch,
+    walls_as_arrays,
+)
 from .world import EnvironmentConfig, Observation
 
 CONTROLLER_KINDS = (
@@ -145,16 +151,19 @@ class Controller:
 
     def _decide_dwa(self, obs: Observation) -> Decision:
         env = self.env
-        discs = [Disc(p, r) for _, p, r in obs.obstacles]
-        goal_bearing = math.atan2(env.goal[1] - obs.robot.y,
-                                  env.goal[0] - obs.robot.x)
+        robot = obs.robot
+        cmds = self.lattice.commands
+        goal_bearing = math.atan2(env.goal[1] - robot.y,
+                                  env.goal[0] - robot.x)
+        nxt = lattice_paths(cmds, robot, 1, env.dt)[:, 0]       # (U, 2)
+        clear = clearance_points(nxt, env.robot_radius,
+                                 *obstacles_as_arrays(obs),
+                                 *walls_as_arrays(env.static_map)).tolist()
         best = None
         best_any = None
-        for idx, u in enumerate(self.lattice.commands):
-            nxt = step_unicycle(obs.robot, u, env.dt)
-            c = clearance(Disc((nxt.x, nxt.y), env.robot_radius), discs,
-                          env.static_map.walls)
-            heading = math.cos(normalize_angle(goal_bearing - nxt.heading))
+        for idx, (u, c) in enumerate(zip(cmds, clear)):
+            th = normalize_angle(robot.heading + u.omega * env.dt)
+            heading = math.cos(normalize_angle(goal_bearing - th))
             score = (1.0 * heading + 2.0 * min(c, 1.0)
                      + 0.5 * u.v / env.v_max)
             key = (-score, idx)

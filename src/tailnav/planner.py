@@ -17,8 +17,8 @@ from .geometry import Pose, VelocityCommand, clearance_points, goal_distance
 from .scenarios import (
     InformationState,
     ScenarioBatch,
+    lattice_paths,
     reaction_sequence,
-    robot_rollout_poses,
     step_obstacles,
     walls_as_arrays,
 )
@@ -166,8 +166,7 @@ def lattice_risks(
         spans.append((span, batch.family[int(ids[idx[0]])],
                       batch.init_velocities[idx],
                       np.moveaxis(batch.noise[idx], 0, 1)))
-    reaction = np.stack([reaction_sequence(start, xy) for xy in paths])
-    reaction = reaction[:, :, None, None, :]                      # (U,H,1,1,2)
+    reaction = reaction_sequence(start, paths)[:, :, None, None, :]
 
     wall_a, wall_b = walls_as_arrays(static_map)
     risk = None
@@ -214,14 +213,12 @@ def select_command(
     its objective is reward - risk_weight * tail term of its risks.
     """
     start, goal = info.robot, info.goal
-    rollouts = [robot_rollout_poses(u, start, batch.horizon, batch.dt)
-                for u in lattice.commands]
-    paths = np.stack([xy for _poses, xy in rollouts])
+    paths = lattice_paths(lattice.commands, start, batch.horizon, batch.dt)
     risks = lattice_risks(paths, batch, start, info.static_map, params.c_safe)
     d0 = goal_distance(start, goal)
     scores = []
-    for u, (poses, _xy), r in zip(lattice.commands, rollouts, risks):
-        reward = d0 - goal_distance(poses[-1], goal)
+    for u, (x, y), r in zip(lattice.commands, paths[:, -1].tolist(), risks):
+        reward = d0 - goal_distance(Pose(x, y, 0.0), goal)
         tail = tail_term(r, params)
         scores.append(CommandScore(
             command=u, mean_reward=reward, tail_risk=tail,

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .beliefs import ObstacleBelief
 from .geometry import Pose, VelocityCommand, clearance_points, goal_distance
 from .planner import CommandLattice, tie_break_key
-from .scenarios import robot_rollout_poses, walls_as_arrays
+from .scenarios import lattice_paths, obstacles_as_arrays, walls_as_arrays
 from .world import Observation, StaticMap
 
 
@@ -49,6 +49,44 @@ class FilterParams:
         return cls(**{k: getattr(env, k) for k in ENV_FIELDS}, **params)
 
 
+def filter_rollouts(
+    commands: Sequence[VelocityCommand],
+    obs: Observation,
+    beliefs: Mapping[int, ObstacleBelief],
+    static_map: StaticMap,
+    horizon: int,
+    dt: float,
+    robot_radius: float,
+    goal: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Short local rollouts: constant commands, obstacles extrapolated
+    linearly at their tracked velocity means.
+
+    Returns (C,) minimum predicted clearance over each command's rollout,
+    including the current pose, and (C,) goal-distance reduction over it.
+    All C paths are measured in one clearance call over (C, horizon+1)
+    points.
+    """
+    start = obs.robot
+    xy = np.empty((len(commands), horizon + 1, 2))
+    xy[:, 0] = start.x, start.y
+    xy[:, 1:] = lattice_paths(commands, start, horizon, dt)
+
+    pos0, radii = obstacles_as_arrays(obs)
+    vels = np.array([
+        beliefs[oid].vel_mean if oid in beliefs else np.zeros(2)
+        for oid, _, _ in obs.obstacles
+    ], dtype=float).reshape(-1, 2)
+    ks = np.arange(horizon + 1)[:, None, None]
+    traj = pos0[None, :, :] + ks * dt * vels[None, :, :]      # (H+1, n, 2)
+    clear = clearance_points(xy, robot_radius, traj, radii,
+                             *walls_as_arrays(static_map))
+    d0 = goal_distance(start, goal)
+    progress = np.array([d0 - goal_distance(Pose(x, y, 0.0), goal)
+                         for x, y in xy[:, -1].tolist()])
+    return clear.min(axis=1), progress
+
+
 def filter_rollout(
     u: VelocityCommand,
     obs: Observation,
@@ -59,34 +97,12 @@ def filter_rollout(
     robot_radius: float,
     goal: tuple[float, float],
 ) -> tuple[float, float]:
-    """Short local rollout: constant command, obstacles extrapolated
-    linearly at their tracked velocity means.
-
-    Returns (minimum predicted clearance over the rollout, including the
-    current pose, and goal-distance reduction over the rollout).
-    """
-    start = obs.robot
-    poses, xy = robot_rollout_poses(u, start, horizon, dt)
-    xy = np.vstack([[start.x, start.y], xy])
-
-    n = len(obs.obstacles)
-    wall_a, wall_b = walls_as_arrays(static_map)
-    if n > 0:
-        pos0 = np.array([p for _, p, _ in obs.obstacles])  # (n, 2)
-        radii = np.array([r for _, _, r in obs.obstacles])
-        vels = np.array([
-            beliefs[oid].vel_mean if oid in beliefs else np.zeros(2)
-            for oid, _, _ in obs.obstacles
-        ])
-        ks = np.arange(horizon + 1)[:, None, None]
-        traj = pos0[None, :, :] + ks * dt * vels[None, :, :]  # (H+1, n, 2)
-    else:
-        radii = np.zeros(0)
-        traj = np.zeros((horizon + 1, 0, 2))
-    clear = clearance_points(xy, robot_radius, traj, radii, wall_a, wall_b)
-    c_min = float(np.min(clear))
-    progress = goal_distance(start, goal) - goal_distance(poses[-1], goal)
-    return c_min, progress
+    """One command's `filter_rollouts`: (minimum predicted clearance over
+    the rollout, including the current pose, and goal-distance reduction
+    over the rollout)."""
+    c_min, progress = filter_rollouts((u,), obs, beliefs, static_map,
+                                      horizon, dt, robot_radius, goal)
+    return float(c_min[0]), float(progress[0])
 
 
 def is_feasible(u: VelocityCommand, c_t: float, c_min: float,
@@ -121,26 +137,24 @@ def apply_filter(
     candidates = [u_nom] + list(lattice.commands)
 
     # Current clearance from the observation alone.
-    wall_a, wall_b = walls_as_arrays(static_map)
     rxy = np.array([obs.robot.x, obs.robot.y])
-    if obs.obstacles:
-        pos0 = np.array([p for _, p, _ in obs.obstacles])
-        radii = np.array([r for _, _, r in obs.obstacles])
-    else:
-        pos0 = np.zeros((0, 2))
-        radii = np.zeros(0)
-    c_t = float(clearance_points(rxy, params.robot_radius, pos0, radii,
-                                 wall_a, wall_b))
+    c_t = float(clearance_points(rxy, params.robot_radius,
+                                 *obstacles_as_arrays(obs),
+                                 *walls_as_arrays(static_map)))
+
+    # u_nom may be any command; the lattice is rolled as one batch.
+    rollout = (params.horizon, params.dt, params.robot_radius, goal)
+    nominal = filter_rollout(u_nom, obs, beliefs, static_map, *rollout)
+    c_mins, progresses = filter_rollouts(lattice.commands, obs, beliefs,
+                                         static_map, *rollout)
+    rollouts = [nominal, *zip(c_mins.tolist(), progresses.tolist())]
 
     best_key = None
     best_cmd = None
     fallback_key = None
     fallback_cmd = None
     any_feasible = False
-    for idx, u in enumerate(candidates):
-        c_min, progress = filter_rollout(
-            u, obs, beliefs, static_map, params.horizon, params.dt,
-            params.robot_radius, goal)
+    for idx, (u, (c_min, progress)) in enumerate(zip(candidates, rollouts)):
         feasible = is_feasible(u, c_t, c_min, params)
         score = (params.w_progress * progress
                  + params.w_clearance * c_min

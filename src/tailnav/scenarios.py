@@ -3,18 +3,19 @@ rollouts under a constant command."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .beliefs import Conjecture, ObstacleBelief, Posterior, conjectured_velocity
-from .geometry import Pose, VelocityCommand, step_unicycle
-# Re-exported, not called here: tools that patch clearance evaluation by
-# module attribute look it up in this module as well.
-from .geometry import clearance_points  # noqa: F401
-from .world import StaticMap
+from .geometry import OMEGA_EPS, Pose, VelocityCommand, normalize_angle
+# Re-exported, not called here: tools that patch clearance evaluation and
+# the unicycle step by module attribute look them up in this module as well.
+from .geometry import clearance_points, step_unicycle  # noqa: F401
+from .world import Observation, StaticMap
 
 REACTIVE_KINDS = ("yielding", "aggressive")
 
@@ -206,25 +207,64 @@ def sample_batch(
         robot_radius=robot_radius)
 
 
-def robot_rollout_poses(u: VelocityCommand, start: Pose, H: int,
-                        dt: float) -> tuple[tuple[Pose, ...], np.ndarray]:
-    """H poses under a constant command, plus their (H, 2) positions."""
-    poses = []
-    p = start
-    for _ in range(H):
-        p = step_unicycle(p, u, dt)
-        poses.append(p)
-    xy = np.array([[q.x, q.y] for q in poses])
-    return tuple(poses), xy
+def lattice_paths(commands: Sequence[VelocityCommand], start: Pose, H: int,
+                  dt: float) -> np.ndarray:
+    """(U, H, 2) positions of H `step_unicycle` steps under each command.
+
+    Bit for bit the positions the scalar step gives.  Headings depend only
+    on omega, so each distinct omega's per-step displacements are taken
+    once, with `math` sin/cos (of the unwrapped angle, as the scalar step
+    takes it), as a (H, 2) base that a command scales by v*dt (straight)
+    or v/omega (arc).  The scaling and the step-by-step running sum are
+    elementwise numpy arithmetic in the scalar step's operation order, so
+    no result depends on the CPU's SIMD path.
+    """
+    if H < 1 or dt <= 0.0:
+        raise ValueError(f"H and dt must be positive, got {H} and {dt}")
+    bases = {}    # omega's bits (-0.0 apart from 0.0) -> (H, 2) base
+    keys, scales = [], []
+    for u in commands:
+        straight = abs(u.omega) < OMEGA_EPS
+        key = float(u.omega).hex()
+        if key not in bases:
+            th, rows = start.heading, []
+            for _ in range(H):
+                raw = th + u.omega * dt
+                if straight:
+                    rows.append((math.cos(th), math.sin(th)))
+                else:
+                    # y - r*z is y + r*(-z) exactly, so both axes add.
+                    rows.append((math.sin(raw) - math.sin(th),
+                                 -(math.cos(raw) - math.cos(th))))
+                th = normalize_angle(raw)
+            bases[key] = np.array(rows)
+        keys.append(key)
+        scales.append(u.v * dt if straight else u.v / u.omega)
+    steps = np.empty((len(commands), H + 1, 2))
+    steps[:, 0] = start.x, start.y
+    steps[:, 1:] = (np.array(scales, dtype=float)[:, None, None]
+                    * np.stack([bases[k] for k in keys]))
+    # The running sum adds left to right, x_k = x_{k-1} + d_k, as the
+    # scalar loop does.
+    return np.cumsum(steps, axis=1)[:, 1:]
 
 
 def reaction_sequence(start: Pose, robot_xy: np.ndarray) -> np.ndarray:
     """Robot positions reactive obstacles respond to: the obstacle at step k
-    reacts to the robot at step k-1."""
-    H = robot_xy.shape[0]
-    if H == 1:
-        return np.array([[start.x, start.y]])
-    return np.vstack([[start.x, start.y], robot_xy[:-1]])
+    reacts to the robot at step k-1.  robot_xy is (..., H, 2), one path or
+    a stack of paths from the same start."""
+    seq = np.empty_like(robot_xy)
+    seq[..., 0, :] = start.x, start.y
+    seq[..., 1:, :] = robot_xy[..., :-1, :]
+    return seq
+
+
+def obstacles_as_arrays(obs: Observation) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) observed obstacle positions and their (n,) radii."""
+    pos = np.array([p for _, p, _ in obs.obstacles],
+                   dtype=float).reshape(-1, 2)
+    radii = np.array([r for _, _, r in obs.obstacles], dtype=float)
+    return pos, radii
 
 
 def walls_as_arrays(static_map: StaticMap) -> tuple[np.ndarray, np.ndarray]:

@@ -16,10 +16,18 @@ each scenario's velocities before it drew them as one array;
 `point_segment_distance`, the way the simulator measured clearance
 before it shared `clearance_points` with the planner; it agrees with
 `clearance_points` to rounding, not bit for bit.
+
+`robot_rollout_poses` rolls one command through `step_unicycle` step by
+step; `scenarios.lattice_paths` must give its positions bit for bit.
+`filter_rollout`, `apply_filter` and `decide_dwa` roll and measure one
+candidate command at a time, the way the safety filter and `dwa-style`
+did before they rolled the lattice as one batch; the batched forms must
+reproduce every `(c_min, progress)` pair and every chosen command.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,19 +40,40 @@ from tailnav.geometry import (
     Pose,
     VelocityCommand,
     WallSegment,
+    clearance,
     clearance_points,
     goal_distance,
+    normalize_angle,
+    step_unicycle,
 )
-from tailnav.planner import CommandScore, PlannerParams, empirical_cvar
+from tailnav.planner import (
+    CommandLattice,
+    CommandScore,
+    PlannerParams,
+    empirical_cvar,
+    tie_break_key,
+)
+from tailnav.safety import FilterParams, command_deviation, is_feasible
 from tailnav.scenarios import (
     Scenario,
     ScenarioBatch,
     propagate_obstacles,
     reaction_sequence,
-    robot_rollout_poses,
     walls_as_arrays,
 )
-from tailnav.world import StaticMap
+from tailnav.world import EnvironmentConfig, Observation, StaticMap
+
+
+def robot_rollout_poses(u: VelocityCommand, start: Pose, H: int,
+                        dt: float) -> tuple[tuple[Pose, ...], np.ndarray]:
+    """H poses under a constant command, plus their (H, 2) positions."""
+    poses = []
+    p = start
+    for _ in range(H):
+        p = step_unicycle(p, u, dt)
+        poses.append(p)
+    xy = np.array([[q.x, q.y] for q in poses])
+    return tuple(poses), xy
 
 
 def sample_obstacle_state(
@@ -209,3 +238,105 @@ def score_command(
     score = reward - params.risk_weight * tail
     return CommandScore(command=u, mean_reward=reward, tail_risk=tail,
                         objective=score, risks=risks)
+
+
+def filter_rollout(
+    u: VelocityCommand,
+    obs: Observation,
+    beliefs: Mapping[int, ObstacleBelief],
+    static_map: StaticMap,
+    horizon: int,
+    dt: float,
+    robot_radius: float,
+    goal: tuple[float, float],
+) -> tuple[float, float]:
+    """One command's (minimum predicted clearance over the rollout,
+    including the current pose, and goal-distance reduction)."""
+    start = obs.robot
+    poses, xy = robot_rollout_poses(u, start, horizon, dt)
+    xy = np.vstack([[start.x, start.y], xy])
+
+    wall_a, wall_b = walls_as_arrays(static_map)
+    if obs.obstacles:
+        pos0 = np.array([p for _, p, _ in obs.obstacles])  # (n, 2)
+        radii = np.array([r for _, _, r in obs.obstacles])
+        vels = np.array([
+            beliefs[oid].vel_mean if oid in beliefs else np.zeros(2)
+            for oid, _, _ in obs.obstacles
+        ])
+        ks = np.arange(horizon + 1)[:, None, None]
+        traj = pos0[None, :, :] + ks * dt * vels[None, :, :]  # (H+1, n, 2)
+    else:
+        radii = np.zeros(0)
+        traj = np.zeros((horizon + 1, 0, 2))
+    clear = clearance_points(xy, robot_radius, traj, radii, wall_a, wall_b)
+    c_min = float(np.min(clear))
+    progress = goal_distance(start, goal) - goal_distance(poses[-1], goal)
+    return c_min, progress
+
+
+def apply_filter(
+    u_nom: VelocityCommand,
+    obs: Observation,
+    beliefs: Mapping[int, ObstacleBelief],
+    lattice: CommandLattice,
+    goal: tuple[float, float],
+    static_map: StaticMap,
+    params: FilterParams,
+) -> tuple[VelocityCommand, list[tuple[float, float]]]:
+    """The filter's choice from {u_nom} union the lattice, plus every
+    candidate's (c_min, progress), one candidate at a time."""
+    candidates = [u_nom] + list(lattice.commands)
+    wall_a, wall_b = walls_as_arrays(static_map)
+    rxy = np.array([obs.robot.x, obs.robot.y])
+    if obs.obstacles:
+        pos0 = np.array([p for _, p, _ in obs.obstacles])
+        radii = np.array([r for _, _, r in obs.obstacles])
+    else:
+        pos0 = np.zeros((0, 2))
+        radii = np.zeros(0)
+    c_t = float(clearance_points(rxy, params.robot_radius, pos0, radii,
+                                 wall_a, wall_b))
+
+    pairs = []
+    best_key = best_cmd = fallback_key = fallback_cmd = None
+    for idx, u in enumerate(candidates):
+        c_min, progress = filter_rollout(
+            u, obs, beliefs, static_map, params.horizon, params.dt,
+            params.robot_radius, goal)
+        pairs.append((c_min, progress))
+        score = (params.w_progress * progress
+                 + params.w_clearance * c_min
+                 - params.w_deviation * command_deviation(u, u_nom, params))
+        key = tie_break_key(score, u, params.v_max, idx)
+        if is_feasible(u, c_t, c_min, params) and (
+                best_key is None or key < best_key):
+            best_key, best_cmd = key, u
+        fkey = tie_break_key(c_min, u, params.v_max, idx)
+        if fallback_key is None or fkey < fallback_key:
+            fallback_key, fallback_cmd = fkey, u
+    return (best_cmd if best_key is not None else fallback_cmd), pairs
+
+
+def decide_dwa(env: EnvironmentConfig, lattice: CommandLattice,
+               obs: Observation) -> VelocityCommand:
+    """dwa-style's command: each lattice command stepped and measured on
+    its own."""
+    discs = [Disc(p, r) for _, p, r in obs.obstacles]
+    goal_bearing = math.atan2(env.goal[1] - obs.robot.y,
+                              env.goal[0] - obs.robot.x)
+    best = None
+    best_any = None
+    for idx, u in enumerate(lattice.commands):
+        nxt = step_unicycle(obs.robot, u, env.dt)
+        c = clearance(Disc((nxt.x, nxt.y), env.robot_radius), discs,
+                      env.static_map.walls)
+        heading = math.cos(normalize_angle(goal_bearing - nxt.heading))
+        score = (1.0 * heading + 2.0 * min(c, 1.0)
+                 + 0.5 * u.v / env.v_max)
+        key = (-score, idx)
+        if c >= 0.0 and (best is None or key < best[0]):
+            best = (key, u)
+        if best_any is None or (-c, idx) < best_any[0]:
+            best_any = ((-c, idx), u)
+    return best[1] if best is not None else best_any[1]

@@ -11,7 +11,6 @@ from tailnav.scenarios import (
     InformationState,
     propagate_obstacles,
     reaction_sequence,
-    robot_rollout_poses,
     sample_batch,
     top_k_weights,
 )
@@ -19,6 +18,7 @@ from tailnav.world import StaticMap
 
 from oracle import (
     progress_reward,
+    robot_rollout_poses,
     rollout_command,
     sample_obstacle_state,
     scenario_trajectory,
