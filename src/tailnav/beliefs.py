@@ -124,7 +124,8 @@ def conjectured_velocity(conj: Conjecture, vel: np.ndarray, pos: np.ndarray,
     if conj.kind == "constant-velocity":
         return conj.gamma * vel
     to_robot = np.asarray(robot_xy, dtype=float) - pos
-    dist = np.linalg.norm(to_robot, axis=-1, keepdims=True)
+    tx, ty = to_robot[..., 0, None], to_robot[..., 1, None]
+    dist = np.sqrt(tx * tx + ty * ty)   # np.linalg.norm's own arithmetic
     if conj.kind == "yielding":
         return np.where(dist < conj.d_yield, conj.decel * vel, vel)
     # aggressive: blend toward the unit vector pointing at the robot

@@ -36,9 +36,6 @@ class Pose:
     y: float
     heading: float  # radians, kept in (-pi, pi]
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class VelocityCommand:
@@ -131,22 +128,40 @@ def clearance_points(
     wall_a, wall_b: (n_walls, 2) segment endpoints.
 
     Returns signed clearance with batch shape of robot_xy[..., 0].
+
+    robot_radius is subtracted once, after the minimum over obstacles and
+    walls: x - robot_radius rounds monotonically in x, so this gives the
+    bits of subtracting it from every distance first.
     """
     batch = np.broadcast_shapes(robot_xy.shape[:-1], obstacle_xy.shape[:-2])
     c = np.full(batch, EMPTY_CLEARANCE)
+    x, y = robot_xy[..., 0, None], robot_xy[..., 1, None]   # (..., 1)
+    nearest = None
     if obstacle_xy.shape[-2] > 0:
-        diff = robot_xy[..., None, :] - obstacle_xy
-        d = np.sqrt(np.sum(diff * diff, axis=-1)) - obstacle_radii - robot_radius
-        c = np.minimum(c, d.min(axis=-1))
+        dx = x - obstacle_xy[..., 0]
+        dy = y - obstacle_xy[..., 1]
+        nearest = _min_last(np.sqrt(dx * dx + dy * dy) - obstacle_radii)
     if wall_a.shape[0] > 0:
-        ab = wall_b - wall_a                        # (W, 2)
-        denom = np.sum(ab * ab, axis=-1)            # (W,)
-        ap = robot_xy[..., None, :] - wall_a        # (..., W, 2)
-        t = np.clip(np.sum(ap * ab, axis=-1) / denom, 0.0, 1.0)
-        closest = wall_a + t[..., None] * ab
-        dw = np.sqrt(np.sum((robot_xy[..., None, :] - closest) ** 2, axis=-1))
-        c = np.minimum(c, dw.min(axis=-1) - robot_radius)
+        ax, ay = wall_a[:, 0], wall_a[:, 1]                 # (W,)
+        abx, aby = wall_b[:, 0] - ax, wall_b[:, 1] - ay
+        denom = abx * abx + aby * aby
+        apx, apy = x - ax, y - ay                           # (..., W)
+        t = np.clip((apx * abx + apy * aby) / denom, 0.0, 1.0)
+        ex, ey = x - (ax + t * abx), y - (ay + t * aby)
+        dw = _min_last(np.sqrt(ex * ex + ey * ey))
+        nearest = dw if nearest is None else np.minimum(nearest, dw)
+    if nearest is not None:
+        c = np.minimum(c, nearest - robot_radius)
     return c
+
+
+def _min_last(a: np.ndarray) -> np.ndarray:
+    """Minimum over the last axis, reduced as a leading contiguous axis.
+
+    numpy reduces a short trailing axis element by element; transposed
+    and copied, the same minimum is a few whole-array `np.minimum` passes.
+    """
+    return np.minimum.reduce(a.T.copy(), axis=0).T
 
 
 def goal_distance(pose: Pose, goal: tuple[float, float]) -> float:

@@ -137,12 +137,14 @@ def lattice_risks(
 
     paths holds the (U, H, 2) robot positions under each command.  A
     command's risk in a scenario is its worst normalized clearance deficit
-    clip((c_safe - c) / c_safe, 0, 1) over the horizon.  All commands and
-    scenarios step forward together, one horizon step at a time, so only
-    the (U, N, n, 2) obstacle positions of the current step are held.
-    Non-reactive scenarios read their canonical trajectory; reactive ones
-    are propagated once per conjecture, with a command axis, against each
-    command's reaction sequence.
+    clip((c_safe - c) / c_safe, 0, 1) over the horizon.  The deficit never
+    shrinks as c falls, so it is taken once, from the closest step's
+    clearance, bit for bit the maximum of the per-step deficits.  All
+    commands and scenarios step forward together, one horizon step at a
+    time, so only the (U, N, n, 2) obstacle positions of the current step
+    are held.  Non-reactive scenarios read their canonical trajectory;
+    reactive ones are propagated once per conjecture, with a command axis,
+    against each command's reaction sequence.
     """
     U, H = paths.shape[0], batch.horizon
     radii = batch.radii
@@ -169,7 +171,7 @@ def lattice_risks(
     reaction = reaction_sequence(start, paths)[:, :, None, None, :]
 
     wall_a, wall_b = walls_as_arrays(static_map)
-    risk = None
+    closest = None
     for k in range(H):
         obstacles[:, :M] = canonical[:, k]
         for span, conj, vel, noise in spans:
@@ -178,10 +180,9 @@ def lattice_risks(
                 batch.dt)
         c = clearance_points(paths[:, k, None, :], batch.robot_radius,
                              obstacles, radii, wall_a, wall_b)    # (U, N)
-        g = np.clip((c_safe - c) / c_safe, 0.0, 1.0)
-        risk = g if risk is None else np.maximum(risk, g)
-    out = np.empty_like(risk)
-    out[:, order] = risk
+        closest = c if closest is None else np.minimum(closest, c)
+    out = np.empty(closest.shape)
+    out[:, order] = np.clip((c_safe - closest) / c_safe, 0.0, 1.0)
     return out
 
 

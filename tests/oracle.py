@@ -17,6 +17,11 @@ each scenario's velocities before it drew them as one array;
 before it shared `clearance_points` with the planner; it agrees with
 `clearance_points` to rounding, not bit for bit.
 
+`clearance_points_reference` measures clearance with numpy reductions
+over the trailing xy and obstacle/wall axes, the way `clearance_points`
+did before it took the x and y components apart; `clearance_points` must
+reproduce it bit for bit.
+
 `robot_rollout_poses` rolls one command through `step_unicycle` step by
 step; `scenarios.lattice_paths` must give its positions bit for bit.
 `filter_rollout`, `apply_filter` and `decide_dwa` roll and measure one
@@ -119,6 +124,32 @@ def scalar_clearance(
         d = point_segment_distance(rc, np.asarray(w.a, dtype=float),
                                    np.asarray(w.b, dtype=float))
         c = min(c, d - robot.radius)
+    return c
+
+
+def clearance_points_reference(
+    robot_xy: np.ndarray,
+    robot_radius: float,
+    obstacle_xy: np.ndarray,
+    obstacle_radii: np.ndarray,
+    wall_a: np.ndarray,
+    wall_b: np.ndarray,
+) -> np.ndarray:
+    """`clearance_points` through reductions over the trailing axes."""
+    batch = np.broadcast_shapes(robot_xy.shape[:-1], obstacle_xy.shape[:-2])
+    c = np.full(batch, EMPTY_CLEARANCE)
+    if obstacle_xy.shape[-2] > 0:
+        diff = robot_xy[..., None, :] - obstacle_xy
+        d = np.sqrt(np.sum(diff * diff, axis=-1)) - obstacle_radii - robot_radius
+        c = np.minimum(c, d.min(axis=-1))
+    if wall_a.shape[0] > 0:
+        ab = wall_b - wall_a                        # (W, 2)
+        denom = np.sum(ab * ab, axis=-1)            # (W,)
+        ap = robot_xy[..., None, :] - wall_a        # (..., W, 2)
+        t = np.clip(np.sum(ap * ab, axis=-1) / denom, 0.0, 1.0)
+        closest = wall_a + t[..., None] * ab
+        dw = np.sqrt(np.sum((robot_xy[..., None, :] - closest) ** 2, axis=-1))
+        c = np.minimum(c, dw.min(axis=-1) - robot_radius)
     return c
 
 

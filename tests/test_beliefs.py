@@ -9,6 +9,7 @@ from tailnav.beliefs import (
     Conjecture,
     ObstacleBelief,
     Posterior,
+    conjectured_velocity,
     default_family,
     likelihood,
     predict_obstacle,
@@ -94,6 +95,38 @@ class TestPredictObstacle:
         # Robot due east: blended velocity (0.5, 0.5), scaled by dt.
         p = predict_obstacle(c, b, Pose(4.0, 0.0, 0.0), 0.1)
         assert p == pytest.approx([0.05, 0.05])
+
+
+class TestConjecturedVelocity:
+    def test_matches_norm_form_bit_for_bit(self):
+        # The reactive branches with the distance to the robot taken by
+        # np.linalg.norm(..., axis=-1), the reference for its bits.
+        def norm_form(conj, vel, pos, robot_xy):
+            to_robot = robot_xy - pos
+            dist = np.linalg.norm(to_robot, axis=-1, keepdims=True)
+            if conj.kind == "yielding":
+                return np.where(dist < conj.d_yield, conj.decel * vel, vel)
+            unit = np.where(dist > 1e-9,
+                            to_robot / np.where(dist > 1e-9, dist, 1.0), 0.0)
+            return (1.0 - conj.pursuit_gain) * vel + conj.pursuit_gain * unit
+
+        rng = np.random.default_rng(23)
+        U, S, n = 25, 12, 6
+        vel = rng.normal(0.0, 1.0, (U, S, n, 2))
+        pos = rng.uniform(-4, 4, (U, S, n, 2))
+        robot_xy = rng.uniform(-4, 4, (U, 1, 1, 2))
+        # One obstacle on the robot (distance 0) and one exactly d_yield
+        # away.
+        pos[0, 0, 0] = robot_xy[0, 0, 0]
+        robot_xy[1, 0, 0], pos[1, 0, 0] = [0.25, -1.0], [1.75, -1.0]
+        assert np.linalg.norm(robot_xy[0, 0, 0] - pos[0, 0, 0]) == 0.0
+        assert np.linalg.norm(robot_xy[1, 0, 0] - pos[1, 0, 0]) == 1.5
+        for conj in (Conjecture(4, "yielding", d_yield=1.5, decel=0.2),
+                     Conjecture(5, "aggressive", pursuit_gain=0.5)):
+            got = conjectured_velocity(conj, vel, pos, robot_xy)
+            want = norm_form(conj, vel, pos, robot_xy)
+            assert got.shape == want.shape == (U, S, n, 2)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLikelihood:

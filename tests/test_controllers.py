@@ -142,12 +142,12 @@ class TestDwaStyle:
             c = clearance(Disc((nxt.x, nxt.y), cfg.robot_radius), discs,
                           cfg.static_map.walls)
             # Admissible unless every lattice command already collides.
+            stepped = [step_unicycle(obs.robot, u, cfg.dt)
+                       for u in ctrl.lattice.commands]
             worst = max(
-                clearance(
-                    Disc(tuple(np.array(step_unicycle(obs.robot, u, cfg.dt)
-                                        .position())), cfg.robot_radius),
-                    discs, cfg.static_map.walls)
-                for u in ctrl.lattice.commands)
+                clearance(Disc((p.x, p.y), cfg.robot_radius), discs,
+                          cfg.static_map.walls)
+                for p in stepped)
             if worst >= 0.0:
                 assert c >= 0.0
             state, obs, _ = step_world(state, d.command, cfg)

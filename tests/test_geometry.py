@@ -16,7 +16,11 @@ from tailnav.geometry import (
     normalize_angle,
     step_unicycle,
 )
-from oracle import point_segment_distance, scalar_clearance
+from oracle import (
+    clearance_points_reference,
+    point_segment_distance,
+    scalar_clearance,
+)
 
 
 def euler_rollout(pose, cmd, duration, n_steps):
@@ -193,6 +197,42 @@ class TestClearancePoints:
                  for a, b in zip(wall_a, wall_b)])
             assert c == clearance_points(robot_xy, 0.3, obstacle_xy, radii,
                                          wall_a, wall_b)
+
+    # Robot and obstacle batch shapes of every caller: the planner's (U, 1)
+    # against (U, N), the filter's (C, H+1) against (H+1,), dwa-style's (U,)
+    # against one scene, and the world's single point.
+    @pytest.mark.parametrize("robot_batch, obstacle_batch", [
+        ((25, 1), (25, 64)),
+        ((26, 21), (21,)),
+        ((25,), ()),
+        ((), ()),
+    ])
+    @pytest.mark.parametrize("n_obs, n_walls",
+                             [(6, 4), (0, 4), (6, 0), (0, 0), (40, 4)])
+    def test_matches_parent_formula_bit_for_bit(self, robot_batch,
+                                                obstacle_batch, n_obs,
+                                                n_walls):
+        rng = np.random.default_rng(17)
+        for i in range(8):
+            robot_xy = rng.uniform(-4, 4, robot_batch + (2,))
+            obstacle_xy = rng.uniform(-4, 4, obstacle_batch + (n_obs, 2))
+            radii = rng.uniform(0.1, 0.6, n_obs)
+            wall_a = rng.uniform(-4, 4, (n_walls, 2))
+            wall_b = wall_a + rng.uniform(0.5, 2.0, (n_walls, 2))
+            # The first robot point sits on an obstacle centre or on a wall
+            # endpoint, so a zero distance is measured.
+            points = robot_xy.reshape(-1, 2)
+            if i % 2 == 0 and n_obs:
+                points[0] = obstacle_xy.reshape(-1, 2)[0]
+            elif n_walls:
+                points[0] = (wall_a, wall_b)[i % 4 // 2][0]
+            args = (robot_xy, 0.3, obstacle_xy, radii, wall_a, wall_b)
+            got = np.asarray(clearance_points(*args))
+            want = np.asarray(clearance_points_reference(*args))
+            assert got.shape == want.shape == np.broadcast_shapes(
+                robot_batch, obstacle_batch)
+            # Compared as bit patterns, so the sign of a zero counts too.
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_empty_scene_sentinel(self):
         c = clearance_points(np.zeros((4, 2)), 0.3, np.zeros((0, 2)),
