@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .beliefs import conjectured_velocity
 from .geometry import Pose, VelocityCommand, clearance_points, goal_distance
 from .scenarios import (
     InformationState,
@@ -138,16 +139,26 @@ def lattice_risks(
     paths holds the (U, H, 2) robot positions under each command.  A
     command's risk in a scenario is its worst normalized clearance deficit
     clip((c_safe - c) / c_safe, 0, 1) over the horizon.  The deficit never
-    shrinks as c falls, so it is taken once, from the closest step's
-    clearance, bit for bit the maximum of the per-step deficits.  All
-    commands and scenarios step forward together, one horizon step at a
-    time, so only the (U, N, n, 2) obstacle positions of the current step
-    are held.  Non-reactive scenarios read their canonical trajectory;
-    reactive ones are propagated once per conjecture, with a command axis,
-    against each command's reaction sequence.
+    shrinks as c falls, so it is taken once, from the closest clearance,
+    bit for bit the maximum of the per-step deficits.
+
+    Walls do not move, so every path point is measured against them in one
+    call before the loop.  All commands and scenarios then step forward
+    together, one horizon step at a time, measured against the obstacles
+    only, so only the (U, N, n, 2) obstacle positions of the current step
+    are held.  Each step's clearance and the walls' are minima capped at
+    EMPTY_CLEARANCE less robot_radius, which rounds monotonically, so the
+    minimum of the two is the clearance against both.
+
+    No canonical trajectory is read.  A non-reactive conjecture's velocity
+    ignores the robot and the positions, so it is taken once and the
+    positions are one left-to-right running sum of (v + noise_k)*dt, the
+    arithmetic of `step_obstacles`.  Reactive scenarios are propagated
+    once per conjecture, with a command axis, against each command's
+    reaction sequence.
     """
     U, H = paths.shape[0], batch.horizon
-    radii = batch.radii
+    radii, dt = batch.radii, batch.dt
     obstacles = np.empty((U,) + batch.init_positions.shape)
 
     # Lay the scenario axis out as the non-reactive scenarios followed by
@@ -158,7 +169,19 @@ def lattice_risks(
     members = [np.flatnonzero(ids == cid) for cid in np.unique(ids[reactive])]
     order = np.concatenate([nonreactive, *members])
     M = len(nonreactive)
-    canonical = batch.trajectories[nonreactive]                   # (M,H,n,2)
+    # Non-reactive positions: x_k = x_{k-1} + (v + noise_k)*dt, which the
+    # running sum adds left to right, as step after step would.
+    steps = np.empty((H + 1, M) + batch.init_positions.shape[1:])
+    steps[0] = batch.init_positions[nonreactive]
+    for cid in np.unique(ids[nonreactive]):
+        sel = np.flatnonzero(ids[nonreactive] == cid)
+        idx = nonreactive[sel]
+        v = conjectured_velocity(batch.family[int(cid)],
+                                 batch.init_velocities[idx],
+                                 batch.init_positions[idx], batch.robot_xy)
+        steps[1:, sel] = np.moveaxis((v[:, None] + batch.noise[idx]) * dt,
+                                     0, 1)
+    nonreactive_xy = np.cumsum(steps, axis=0)[1:]                 # (H,M,n,2)
     spans = []        # (scenario slice, conjecture, velocities, noise)
     lo = M
     for idx in members:
@@ -171,16 +194,19 @@ def lattice_risks(
     reaction = reaction_sequence(start, paths)[:, :, None, None, :]
 
     wall_a, wall_b = walls_as_arrays(static_map)
+    empty = np.zeros((0, 2))
+    wall_clearance = clearance_points(paths, batch.robot_radius, empty,
+                                      np.zeros(0), wall_a, wall_b)  # (U, H)
     closest = None
     for k in range(H):
-        obstacles[:, :M] = canonical[:, k]
+        obstacles[:, :M] = nonreactive_xy[k]
         for span, conj, vel, noise in spans:
             obstacles[:, span] = step_obstacles(
-                conj, obstacles[:, span], vel, reaction[:, k], noise[k],
-                batch.dt)
+                conj, obstacles[:, span], vel, reaction[:, k], noise[k], dt)
         c = clearance_points(paths[:, k, None, :], batch.robot_radius,
-                             obstacles, radii, wall_a, wall_b)    # (U, N)
+                             obstacles, radii, empty, empty)      # (U, N)
         closest = c if closest is None else np.minimum(closest, c)
+    closest = np.minimum(closest, wall_clearance.min(axis=1)[:, None])
     out = np.empty(closest.shape)
     out[:, order] = np.clip((c_safe - closest) / c_safe, 0.0, 1.0)
     return out

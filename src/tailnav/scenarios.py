@@ -4,7 +4,7 @@ rollouts under a constant command."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -40,11 +40,18 @@ class Scenario:
     init_velocities: np.ndarray  # (n, 2)
     radii: np.ndarray            # (n,)
     noise: np.ndarray            # (H, n, 2) per-step velocity noise, m/s
-    trajectory: np.ndarray       # (H, n, 2) propagated with the robot frozen
+    batch: "ScenarioBatch" = field(repr=False, compare=False)
+    index: int                   # this scenario's row in the batch arrays
 
     @property
     def reactive(self) -> bool:
         return self.conjecture.kind in REACTIVE_KINDS
+
+    @cached_property
+    def trajectory(self) -> np.ndarray:
+        """(H, n, 2) canonical trajectory, propagated with the robot frozen;
+        reading it builds the batch's trajectories."""
+        return self.batch.trajectories[self.index]
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class ScenarioBatch:
     init_positions: np.ndarray   # (N, n, 2)
     init_velocities: np.ndarray  # (N, n, 2)
     noise: np.ndarray            # (N, H, n, 2) per-step velocity noise, m/s
-    trajectories: np.ndarray     # (N, H, n, 2) propagated with the robot frozen
+    robot_xy: np.ndarray         # (2,) robot position, frozen over the horizon
     step: int
     horizon: int
     dt: float
@@ -69,15 +76,37 @@ class ScenarioBatch:
         return kinds[self.conjecture_ids]
 
     @cached_property
+    def trajectories(self) -> np.ndarray:
+        """(N, H, n, 2) canonical trajectories, built on first read.
+
+        Each conjecture propagates the stack of scenarios that drew it
+        with the robot frozen at `robot_xy`.  The planner reads none of
+        them: it rolls non-reactive scenarios itself and re-propagates
+        reactive ones against each command's path.
+        """
+        ids, H = self.conjecture_ids, self.horizon
+        frozen_seq = np.broadcast_to(self.robot_xy, (H, 2))
+        traj = np.empty(self.noise.shape)
+        for cid in np.unique(ids):
+            sel = np.flatnonzero(ids == cid)
+            group = propagate_obstacles(
+                self.family[int(cid)], self.init_positions[sel],
+                self.init_velocities[sel], frozen_seq,
+                np.moveaxis(self.noise[sel], 0, 1), self.dt)
+            traj[sel] = np.moveaxis(group, 0, 1)
+        return traj
+
+    @cached_property
     def scenarios(self) -> tuple[Scenario, ...]:
         """One Scenario view per scenario, sliced from the arrays on first
-        access; sampling and scoring never build them."""
+        access; sampling and scoring never build them, and building them
+        builds no trajectory."""
         return tuple(
             Scenario(
                 conjecture=self.family[int(c)], obstacle_ids=self.obstacle_ids,
                 init_positions=self.init_positions[i],
                 init_velocities=self.init_velocities[i], radii=self.radii,
-                noise=self.noise[i], trajectory=self.trajectories[i],
+                noise=self.noise[i], batch=self, index=i,
             )
             for i, c in enumerate(self.conjecture_ids)
         )
@@ -118,9 +147,11 @@ def step_obstacles(
 ) -> np.ndarray:
     """One transition of obstacle positions under a conjecture.
 
-    The single definition of the propagation arithmetic: canonical
-    trajectories and the planner's per-command reactive re-propagation
-    both advance through it.  All arguments broadcast.
+    The definition of the propagation arithmetic: canonical trajectories
+    and the planner's per-command reactive re-propagation advance through
+    it, and the planner's running sum for non-reactive conjectures, whose
+    velocity never changes, repeats its `(v + noise_k) * dt` in the same
+    order.  All arguments broadcast.
     """
     v = conjectured_velocity(conj, init_vel, pos, robot_xy)
     return pos + (v + noise_k) * dt
@@ -156,9 +187,10 @@ def sample_batch(
     per-step Gaussian process noise.  Every scenario draws from its own
     spawned substream, first the standard normals of its obstacles'
     velocities in sorted id order and then its noise, so the batch is
-    reproducible and independent of evaluation order.  The canonical
-    trajectories hold the robot frozen at its current pose; the planner
-    re-propagates reactive scenarios against each command's path.
+    reproducible and independent of evaluation order.  Nothing is
+    propagated here: the batch records the robot's current position, and
+    its canonical trajectories, which hold the robot frozen there, are
+    built only if read (`ScenarioBatch.trajectories`).
     """
     if N < 1 or H < 1:
         raise ValueError("N and H must be at least 1")
@@ -176,8 +208,6 @@ def sample_batch(
     vel_mean = np.array([b.vel_mean for b in beliefs], dtype=float).reshape(n, 2)
     # Beliefs hold isotropic covariances c*I; c is the velocity variance.
     var = np.array([b.vel_cov[0, 0] for b in beliefs], dtype=float)
-    robot_xy = np.array([info.robot.x, info.robot.y])
-    frozen_seq = np.broadcast_to(robot_xy, (H, 2))
 
     z = np.empty((N, n, 2))
     noise = np.zeros((N, H, n, 2))
@@ -190,21 +220,11 @@ def sample_batch(
     init_pos = np.broadcast_to(last_pos, (N, n, 2)).copy()
     init_vel = vel_mean + np.sqrt(var)[:, None] * z
 
-    # Canonical trajectories, propagated once per conjecture over the stack
-    # of scenarios that drew it.
-    traj = np.empty((N, H, n, 2))
-    for cid in np.unique(conj_ids):
-        sel = np.flatnonzero(conj_ids == cid)
-        group = propagate_obstacles(
-            info.family[int(cid)], init_pos[sel], init_vel[sel], frozen_seq,
-            np.moveaxis(noise[sel], 0, 1), dt)
-        traj[sel] = np.moveaxis(group, 0, 1)
-
     return ScenarioBatch(
         conjecture_ids=conj_ids, family=info.family, obstacle_ids=ids,
         radii=radii, init_positions=init_pos, init_velocities=init_vel,
-        noise=noise, trajectories=traj, step=step, horizon=H, dt=dt,
-        robot_radius=robot_radius)
+        noise=noise, robot_xy=np.array([info.robot.x, info.robot.y]),
+        step=step, horizon=H, dt=dt, robot_radius=robot_radius)
 
 
 def lattice_paths(commands: Sequence[VelocityCommand], start: Pose, H: int,

@@ -7,6 +7,11 @@ once.  `planner.select_command` must reproduce its per-scenario risks,
 tail risk, reward and objective bit for bit.  The rollout helpers here
 back the scenario tests that check one command against one scenario.
 
+`canonical_trajectories` propagates every scenario of a batch with the
+robot frozen, one stack per conjecture, the way `scenarios.sample_batch`
+built the canonical trajectories before `ScenarioBatch.trajectories`
+built them on first read; the lazy form must reproduce them bit for bit.
+
 `sample_obstacle_state` draws one obstacle state from one generator,
 obstacle by obstacle in sorted id order, the way scenario sampling drew
 each scenario's velocities before it drew them as one array;
@@ -97,6 +102,23 @@ def sample_obstacle_state(
         vel = b.vel_mean + np.sqrt(b.vel_cov[0, 0]) * z
         state[oid] = (b.last_pos.copy(), vel)
     return state
+
+
+def canonical_trajectories(batch: ScenarioBatch, robot: Pose) -> np.ndarray:
+    """(N, H, n, 2) obstacle positions of every scenario, propagated with
+    the robot frozen at `robot`."""
+    H = batch.horizon
+    N, n = batch.init_positions.shape[:2]
+    frozen_seq = np.broadcast_to(np.array([robot.x, robot.y]), (H, 2))
+    traj = np.empty((N, H, n, 2))
+    for cid in np.unique(batch.conjecture_ids):
+        sel = np.flatnonzero(batch.conjecture_ids == cid)
+        group = propagate_obstacles(
+            batch.family[int(cid)], batch.init_positions[sel],
+            batch.init_velocities[sel], frozen_seq,
+            np.moveaxis(batch.noise[sel], 0, 1), batch.dt)
+        traj[sel] = np.moveaxis(group, 0, 1)
+    return traj
 
 
 def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -110,12 +110,14 @@ TWO_OBSTACLES = {0: _belief((1.5, 0.4), (-0.3, 0.0)),
                  3: _belief((2.5, -0.6), (0.0, 0.2))}
 
 
-def _scene(family=None, beliefs=None, static_map=WALLED, N=32, H=10):
+def _scene(family=None, beliefs=None, static_map=WALLED, N=32, H=10,
+           posterior=None):
     family = family if family is not None else default_family()
     info = InformationState(
         static_map=static_map, family=family,
         beliefs=TWO_OBSTACLES if beliefs is None else beliefs,
-        posterior=Posterior.uniform(len(family)),
+        posterior=(posterior if posterior is not None
+                   else Posterior.uniform(len(family))),
         goal=(10.0, 0.0), robot=Pose(0.0, 0.0, 0.2))
     batch = sample_batch(info, N, H, len(family), np.random.SeedSequence(11),
                          dt=0.1, robot_radius=0.3)
@@ -126,6 +128,8 @@ NONREACTIVE = tuple(c for c in default_family()
                     if c.kind in ("static", "constant-velocity"))
 REACTIVE = (Conjecture(0, "yielding", d_yield=2.5, decel=0.2),
             Conjecture(1, "aggressive", pursuit_gain=0.5))
+# All the posterior mass on the default family's gamma = 1.5 conjecture.
+CV_POINT_MASS = Posterior(np.eye(len(default_family()))[3])
 
 EDGE_CASES = {
     "horizon-1": dict(H=1),
@@ -134,6 +138,8 @@ EDGE_CASES = {
     "all-reactive": dict(family=REACTIVE),
     "no-obstacles": dict(beliefs={}),
     "no-walls": dict(static_map=OPEN),
+    "empty-scene": dict(beliefs={}, static_map=OPEN),
+    "one-conjecture": dict(posterior=CV_POINT_MASS),
 }
 
 
@@ -146,6 +152,11 @@ def test_edge_cases_match_oracle(case, objective):
         assert reactive == 0
     if case == "all-reactive":
         assert reactive == len(batch.scenarios)
+    if case == "empty-scene":
+        assert batch.radii.size == 0 and not info.static_map.walls
+    if case == "one-conjecture":
+        assert batch.family[3].kind == "constant-velocity"
+        assert np.all(batch.conjecture_ids == 3)
     lattice = CommandLattice.default(1.0, 1.5)
     assert_matches_oracle(info, lattice, batch,
                           PlannerParams(**OBJECTIVES[objective]))
