@@ -86,7 +86,6 @@ class Controller:
         filter_params: FilterParams | None = None,
         belief_params: BeliefParams | None = None,
         family: tuple[Conjecture, ...] | None = None,
-        lattice: CommandLattice | None = None,
     ):
         if kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {kind!r}")
@@ -102,8 +101,7 @@ class Controller:
             FilterParams.for_env(env)
         self.belief_params = belief_params if belief_params is not None else \
             BeliefParams()
-        self.lattice = lattice if lattice is not None else \
-            CommandLattice.default(env.v_max, env.omega_max)
+        self.lattice = CommandLattice.default(env.v_max, env.omega_max)
         self.reset()
 
     def reset(self) -> None:
@@ -134,7 +132,7 @@ class Controller:
         seq = np.random.SeedSequence((self.seed, _TAG_SCENARIO, obs.step))
         pp = self.planner_params
         batch = sample_batch(info, pp.N, pp.H, pp.top_k, seq,
-                             env.dt, env.robot_radius, step=obs.step)
+                             env.dt, env.robot_radius)
         u_nom, scores = select_command(info, self.lattice, batch, pp)
         chosen = next(s for s in scores if s.command == u_nom)
 

@@ -150,10 +150,10 @@ def lattice_risks(
     EMPTY_CLEARANCE less robot_radius, which rounds monotonically, so the
     minimum of the two is the clearance against both.
 
-    No canonical trajectory is read.  A non-reactive conjecture's velocity
-    ignores the robot and the positions, so it is taken once and the
-    positions are one left-to-right running sum of (v + noise_k)*dt, the
-    arithmetic of `step_obstacles`.  Reactive scenarios are propagated
+    Scenario obstacles move only here.  A non-reactive conjecture's
+    velocity ignores the robot and the positions, so it is taken once and
+    the positions are one left-to-right running sum of (v + noise_k)*dt,
+    the arithmetic of `step_obstacles`.  Reactive scenarios are propagated
     once per conjecture, with a command axis, against each command's
     reaction sequence.
     """
@@ -178,7 +178,8 @@ def lattice_risks(
         idx = nonreactive[sel]
         v = conjectured_velocity(batch.family[int(cid)],
                                  batch.init_velocities[idx],
-                                 batch.init_positions[idx], batch.robot_xy)
+                                 batch.init_positions[idx],
+                                 (start.x, start.y))
         steps[1:, sel] = np.moveaxis((v[:, None] + batch.noise[idx]) * dt,
                                      0, 1)
     nonreactive_xy = np.cumsum(steps, axis=0)[1:]                 # (H,M,n,2)

@@ -1,10 +1,10 @@
-"""Posterior-mixture scenario sampling, obstacle propagation, and robot
+"""Posterior-mixture scenario sampling, the obstacle transition, and robot
 rollouts under a constant command."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -40,18 +40,10 @@ class Scenario:
     init_velocities: np.ndarray  # (n, 2)
     radii: np.ndarray            # (n,)
     noise: np.ndarray            # (H, n, 2) per-step velocity noise, m/s
-    batch: "ScenarioBatch" = field(repr=False, compare=False)
-    index: int                   # this scenario's row in the batch arrays
 
     @property
     def reactive(self) -> bool:
         return self.conjecture.kind in REACTIVE_KINDS
-
-    @cached_property
-    def trajectory(self) -> np.ndarray:
-        """(H, n, 2) canonical trajectory, propagated with the robot frozen;
-        reading it builds the batch's trajectories."""
-        return self.batch.trajectories[self.index]
 
 
 @dataclass(frozen=True)
@@ -63,8 +55,6 @@ class ScenarioBatch:
     init_positions: np.ndarray   # (N, n, 2)
     init_velocities: np.ndarray  # (N, n, 2)
     noise: np.ndarray            # (N, H, n, 2) per-step velocity noise, m/s
-    robot_xy: np.ndarray         # (2,) robot position, frozen over the horizon
-    step: int
     horizon: int
     dt: float
     robot_radius: float
@@ -76,65 +66,18 @@ class ScenarioBatch:
         return kinds[self.conjecture_ids]
 
     @cached_property
-    def trajectories(self) -> np.ndarray:
-        """(N, H, n, 2) canonical trajectories, built on first read.
-
-        Each conjecture propagates the stack of scenarios that drew it
-        with the robot frozen at `robot_xy`.  The planner reads none of
-        them: it rolls non-reactive scenarios itself and re-propagates
-        reactive ones against each command's path.
-        """
-        ids, H = self.conjecture_ids, self.horizon
-        frozen_seq = np.broadcast_to(self.robot_xy, (H, 2))
-        traj = np.empty(self.noise.shape)
-        for cid in np.unique(ids):
-            sel = np.flatnonzero(ids == cid)
-            group = propagate_obstacles(
-                self.family[int(cid)], self.init_positions[sel],
-                self.init_velocities[sel], frozen_seq,
-                np.moveaxis(self.noise[sel], 0, 1), self.dt)
-            traj[sel] = np.moveaxis(group, 0, 1)
-        return traj
-
-    @cached_property
     def scenarios(self) -> tuple[Scenario, ...]:
         """One Scenario view per scenario, sliced from the arrays on first
-        access; sampling and scoring never build them, and building them
-        builds no trajectory."""
+        access; sampling and scoring never build them."""
         return tuple(
             Scenario(
                 conjecture=self.family[int(c)], obstacle_ids=self.obstacle_ids,
                 init_positions=self.init_positions[i],
                 init_velocities=self.init_velocities[i], radii=self.radii,
-                noise=self.noise[i], batch=self, index=i,
+                noise=self.noise[i],
             )
             for i, c in enumerate(self.conjecture_ids)
         )
-
-
-def propagate_obstacles(
-    conj: Conjecture,
-    init_pos: np.ndarray,        # (..., 2)
-    init_vel: np.ndarray,        # (..., 2)
-    robot_seq: np.ndarray,       # (H, 2) robot positions the obstacles react to
-    noise: np.ndarray,           # (H, ..., 2)
-    dt: float,
-) -> np.ndarray:
-    """Roll obstacle positions H steps forward under one conjecture.
-
-    Reactive conjectures (yielding, aggressive) read the robot position at
-    the step the transition starts from; non-reactive kinds ignore it.
-    Leading axes broadcast, so a stack of scenarios propagates in one call;
-    the returned trajectory has the same shape as the noise.
-    """
-    H = noise.shape[0]
-    traj = np.empty_like(noise, dtype=float)
-    pos = np.array(init_pos, dtype=float)
-    init_vel = np.asarray(init_vel, dtype=float)
-    for k in range(H):
-        pos = step_obstacles(conj, pos, init_vel, robot_seq[k], noise[k], dt)
-        traj[k] = pos
-    return traj
 
 
 def step_obstacles(
@@ -147,11 +90,11 @@ def step_obstacles(
 ) -> np.ndarray:
     """One transition of obstacle positions under a conjecture.
 
-    The definition of the propagation arithmetic: canonical trajectories
-    and the planner's per-command reactive re-propagation advance through
-    it, and the planner's running sum for non-reactive conjectures, whose
-    velocity never changes, repeats its `(v + noise_k) * dt` in the same
-    order.  All arguments broadcast.
+    The definition of the propagation arithmetic: the planner's
+    per-command reactive re-propagation advances through it, and its
+    running sum for non-reactive conjectures, whose velocity never
+    changes, repeats its `(v + noise_k) * dt` in the same order.  All
+    arguments broadcast.
     """
     v = conjectured_velocity(conj, init_vel, pos, robot_xy)
     return pos + (v + noise_k) * dt
@@ -178,7 +121,6 @@ def sample_batch(
     seed_seq: np.random.SeedSequence,
     dt: float,
     robot_radius: float,
-    step: int = 0,
 ) -> ScenarioBatch:
     """Sample N obstacle futures of horizon H from the posterior mixture.
 
@@ -188,9 +130,7 @@ def sample_batch(
     spawned substream, first the standard normals of its obstacles'
     velocities in sorted id order and then its noise, so the batch is
     reproducible and independent of evaluation order.  Nothing is
-    propagated here: the batch records the robot's current position, and
-    its canonical trajectories, which hold the robot frozen there, are
-    built only if read (`ScenarioBatch.trajectories`).
+    propagated here: `planner.lattice_risks` moves the obstacles.
     """
     if N < 1 or H < 1:
         raise ValueError("N and H must be at least 1")
@@ -223,8 +163,7 @@ def sample_batch(
     return ScenarioBatch(
         conjecture_ids=conj_ids, family=info.family, obstacle_ids=ids,
         radii=radii, init_positions=init_pos, init_velocities=init_vel,
-        noise=noise, robot_xy=np.array([info.robot.x, info.robot.y]),
-        step=step, horizon=H, dt=dt, robot_radius=robot_radius)
+        noise=noise, horizon=H, dt=dt, robot_radius=robot_radius)
 
 
 def lattice_paths(commands: Sequence[VelocityCommand], start: Pose, H: int,

@@ -36,7 +36,6 @@ _TAG_PROC = 4
 N_SUBSTEPS = 4
 
 BEHAVIORS = ("crossing", "patrolling", "gap-blocking")
-OUTCOMES = ("running", "success", "collision", "timeout")
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -172,7 +171,6 @@ class WorldState:
     seed: int
     robot: Pose
     positions: np.ndarray    # (n_obs, 2) true positions
-    velocities: np.ndarray   # (n_obs, 2) current behavioral velocities
     directions: np.ndarray   # (n_obs, 2) unit travel directions
     phase: np.ndarray        # (n_obs,) int, gap-blocking phase machine state
     timer: np.ndarray        # (n_obs,) float, gap-blocking hold time left, s
@@ -308,15 +306,10 @@ def init_world(config: EnvironmentConfig, seed: int) -> WorldState:
         d = np.asarray(o.direction, dtype=float)
         nrm = np.hypot(*d)
         directions[i] = d / nrm if nrm > 0 else np.array([1.0, 0.0])
-    velocities = np.zeros((n, 2))
-    for i, o in enumerate(config.obstacles):
-        if o.behavior in ("crossing", "patrolling"):
-            velocities[i] = o.speed * directions[i]
     return WorldState(
         seed=seed,
         robot=config.start,
         positions=positions,
-        velocities=velocities,
         directions=directions,
         phase=np.zeros(n, dtype=int),
         timer=np.zeros(n),
@@ -457,7 +450,6 @@ def step_world(
         if spec.sigma > 0:
             vel = vel + _rng(state.seed, _TAG_PROC, state.step, i).normal(
                 0.0, spec.sigma, 2)
-        state.velocities[i] = vel
         disp[i] = vel * config.dt
 
     sub_dt = config.dt / N_SUBSTEPS

@@ -7,10 +7,13 @@ once.  `planner.select_command` must reproduce its per-scenario risks,
 tail risk, reward and objective bit for bit.  The rollout helpers here
 back the scenario tests that check one command against one scenario.
 
-`canonical_trajectories` propagates every scenario of a batch with the
-robot frozen, one stack per conjecture, the way `scenarios.sample_batch`
-built the canonical trajectories before `ScenarioBatch.trajectories`
-built them on first read; the lazy form must reproduce them bit for bit.
+`propagate_obstacles` rolls obstacles step by step through
+`scenarios.step_obstacles`, and `canonical_trajectories` uses it to
+propagate every scenario of a batch with the robot frozen, one stack per
+conjecture, the way the scenario batch built its canonical trajectories
+before `planner.lattice_risks` became the one place scenario obstacles
+move.  `score_command` scores non-reactive scenarios against them, so
+the kernel's running sums are checked against step-by-step propagation.
 
 `sample_obstacle_state` draws one obstacle state from one generator,
 obstacle by obstacle in sorted id order, the way scenario sampling drew
@@ -43,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from tailnav.beliefs import ObstacleBelief
+from tailnav.beliefs import Conjecture, ObstacleBelief
 from tailnav.geometry import (
     EMPTY_CLEARANCE,
     Disc,
@@ -67,8 +70,8 @@ from tailnav.safety import FilterParams, command_deviation, is_feasible
 from tailnav.scenarios import (
     Scenario,
     ScenarioBatch,
-    propagate_obstacles,
     reaction_sequence,
+    step_obstacles,
     walls_as_arrays,
 )
 from tailnav.world import EnvironmentConfig, Observation, StaticMap
@@ -104,20 +107,49 @@ def sample_obstacle_state(
     return state
 
 
-def canonical_trajectories(batch: ScenarioBatch, robot: Pose) -> np.ndarray:
-    """(N, H, n, 2) obstacle positions of every scenario, propagated with
-    the robot frozen at `robot`."""
+def propagate_obstacles(
+    conj: Conjecture,
+    init_pos: np.ndarray,        # (..., 2)
+    init_vel: np.ndarray,        # (..., 2)
+    robot_seq: np.ndarray,       # (H, 2) robot positions the obstacles react to
+    noise: np.ndarray,           # (H, ..., 2)
+    dt: float,
+) -> np.ndarray:
+    """Roll obstacle positions H steps forward under one conjecture.
+
+    Reactive conjectures (yielding, aggressive) read the robot position at
+    the step the transition starts from; non-reactive kinds ignore it.
+    Leading axes broadcast, so a stack of scenarios propagates in one call;
+    the returned trajectory has the same shape as the noise.
+    """
+    H = noise.shape[0]
+    traj = np.empty_like(noise, dtype=float)
+    pos = np.array(init_pos, dtype=float)
+    init_vel = np.asarray(init_vel, dtype=float)
+    for k in range(H):
+        pos = step_obstacles(conj, pos, init_vel, robot_seq[k], noise[k], dt)
+        traj[k] = pos
+    return traj
+
+
+def canonical_trajectories(batch: ScenarioBatch, robot: Pose,
+                           rows: Sequence[int] | None = None) -> np.ndarray:
+    """(N, H, n, 2) obstacle positions of every scenario, or of the given
+    rows in their order, propagated with the robot frozen at `robot`."""
     H = batch.horizon
     N, n = batch.init_positions.shape[:2]
+    rows = np.arange(N) if rows is None else np.asarray(rows, dtype=int)
+    ids = batch.conjecture_ids[rows]
     frozen_seq = np.broadcast_to(np.array([robot.x, robot.y]), (H, 2))
-    traj = np.empty((N, H, n, 2))
-    for cid in np.unique(batch.conjecture_ids):
-        sel = np.flatnonzero(batch.conjecture_ids == cid)
+    traj = np.empty((len(rows), H, n, 2))
+    for cid in np.unique(ids):
+        where = np.flatnonzero(ids == cid)
+        sel = rows[where]
         group = propagate_obstacles(
             batch.family[int(cid)], batch.init_positions[sel],
             batch.init_velocities[sel], frozen_seq,
             np.moveaxis(batch.noise[sel], 0, 1), batch.dt)
-        traj[sel] = np.moveaxis(group, 0, 1)
+        traj[where] = np.moveaxis(group, 0, 1)
     return traj
 
 
@@ -183,13 +215,10 @@ class RobotRollout:
 
 def scenario_trajectory(scenario: Scenario, start: Pose,
                         robot_xy: np.ndarray, dt: float) -> np.ndarray:
-    """Obstacle trajectory a command actually faces.
-
-    Non-reactive scenarios reuse the canonical trajectory; reactive ones
-    are re-propagated against the command's own robot path.
+    """Obstacle trajectory a command actually faces, propagated against
+    the command's own robot path.  Non-reactive scenarios ignore the path,
+    so they follow their canonical trajectory.
     """
-    if not scenario.reactive:
-        return scenario.trajectory
     seq = reaction_sequence(start, robot_xy)
     return propagate_obstacles(scenario.conjecture, scenario.init_positions,
                                scenario.init_velocities, seq, scenario.noise, dt)
@@ -269,7 +298,7 @@ def score_command(
         if s.reactive:
             groups.setdefault(s.conjecture.id, []).append(i)
     if nonreactive:
-        trajs = np.stack([scen[i].trajectory for i in nonreactive])  # (M,H,n,2)
+        trajs = canonical_trajectories(batch, start, nonreactive)  # (M,H,n,2)
         radii = scen[nonreactive[0]].radii
         c = clearance_points(xy, batch.robot_radius, trajs, radii,
                              wall_a, wall_b)                          # (M,H)

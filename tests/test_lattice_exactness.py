@@ -3,6 +3,7 @@ per-command scalar oracle bit for bit: the same per-scenario risks, tail
 risk, reward and objective for every command, on decisions captured from
 real episodes and on edge-case batches."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -61,8 +62,9 @@ def captured():
         for env in CAPTURE_ENVS:
             calls = out[env] = []
 
-            def record(info, lattice, batch, params, calls=calls):
-                if batch.step % CAPTURE_STRIDE == 0:
+            def record(info, lattice, batch, params, calls=calls,
+                       count=itertools.count()):
+                if next(count) % CAPTURE_STRIDE == 0:
                     calls.append((info, lattice, batch, params))
                 return select_command(info, lattice, batch, params)
 

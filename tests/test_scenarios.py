@@ -1,32 +1,22 @@
 """Scenario sampling, obstacle propagation, and command rollouts."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-import tailnav.controllers
 from tailnav.beliefs import Conjecture, ObstacleBelief, Posterior, default_family
-from tailnav.controllers import Controller
 from tailnav.geometry import Pose, VelocityCommand, WallSegment
 from tailnav.scenarios import (
     InformationState,
-    propagate_obstacles,
     reaction_sequence,
     sample_batch,
     top_k_weights,
 )
-from tailnav.world import (
-    StaticMap,
-    build_environment,
-    init_world,
-    observe,
-    step_world,
-)
+from tailnav.world import StaticMap
 
 from oracle import (
     canonical_trajectories,
     progress_reward,
+    propagate_obstacles,
     robot_rollout_poses,
     rollout_command,
     sample_obstacle_state,
@@ -81,8 +71,8 @@ class TestSampleBatch:
                      posterior=Posterior(np.array([1.0])), family=family)
         batch = sample_batch(info, 16, 8, 1, np.random.SeedSequence(0),
                              dt=0.1, robot_radius=0.3)
-        for s in batch.scenarios:
-            assert np.allclose(s.trajectory, [3.0, 1.0])
+        for traj in canonical_trajectories(batch, info.robot):
+            assert np.allclose(traj, [3.0, 1.0])
 
     def test_conjecture_counts_binomial(self):
         family = (Conjecture(0, "static"), Conjecture(1, "static"))
@@ -96,14 +86,16 @@ class TestSampleBatch:
 
     def test_same_seed_and_step_bit_identical(self):
         info = _info({0: _belief((3.0, 1.0), (0.4, -0.2), cov_scale=0.04)})
-        kw = dict(dt=0.1, robot_radius=0.3, step=12)
+        kw = dict(dt=0.1, robot_radius=0.3)
         a = sample_batch(info, 32, 10, 6, np.random.SeedSequence((5, 7, 12)),
                          **kw)
         b = sample_batch(info, 32, 10, 6, np.random.SeedSequence((5, 7, 12)),
                          **kw)
-        for sa, sb in zip(a.scenarios, b.scenarios):
+        ta = canonical_trajectories(a, info.robot)
+        tb = canonical_trajectories(b, info.robot)
+        for sa, sb, ra, rb in zip(a.scenarios, b.scenarios, ta, tb):
             assert sa.conjecture == sb.conjecture
-            assert np.array_equal(sa.trajectory, sb.trajectory)
+            assert np.array_equal(ra, rb)
             assert np.array_equal(sa.noise, sb.noise)
 
     def test_different_steps_differ(self):
@@ -112,8 +104,9 @@ class TestSampleBatch:
                          dt=0.1, robot_radius=0.3)
         b = sample_batch(info, 8, 10, 6, np.random.SeedSequence((5, 7, 13)),
                          dt=0.1, robot_radius=0.3)
-        assert any(not np.array_equal(sa.trajectory, sb.trajectory)
-                   for sa, sb in zip(a.scenarios, b.scenarios))
+        assert any(not np.array_equal(ra, rb)
+                   for ra, rb in zip(canonical_trajectories(a, info.robot),
+                                     canonical_trajectories(b, info.robot)))
 
     def test_invalid_sizes_rejected(self):
         info = _info({})
@@ -154,71 +147,9 @@ class TestSampleBatch:
         info = _info({0: _belief((3.0, 1.0), (0.4, -0.2), cov_scale=0.04)})
         batch = sample_batch(info, 16, 20, 6, np.random.SeedSequence(2),
                              dt=0.1, robot_radius=0.3)
-        for s in batch.scenarios:
-            assert s.trajectory.shape == (20, 1, 2)
-            assert np.all(np.isfinite(s.trajectory))
-
-
-class TestLazyTrajectories:
-    """Canonical trajectories are built on first read, bit for bit as the
-    eager per-conjecture propagation built them, and nothing on the
-    decision path reads them."""
-
-    # Obstacles inside the yielding distance of the robot and outside it,
-    # so both yielding branches and the aggressive pursuit are taken.
-    BELIEFS = {4: _belief((1.0, 0.5), (-0.3, 0.1), cov_scale=0.04),
-               1: _belief((3.5, -1.0), (0.0, 0.4), cov_scale=0.09),
-               9: _belief((0.4, -0.2), (0.2, 0.0), cov_scale=0.01, radius=0.3)}
-    CASES = {
-        "every-kind": dict(N=96, H=12, n=3),
-        "one-scenario": dict(N=1, H=12, n=3),
-        "horizon-1": dict(N=32, H=1, n=3),
-        "no-obstacles": dict(N=32, H=12, n=0),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_match_the_eager_oracle_bit_for_bit(self, case):
-        N, H, n = (self.CASES[case][k] for k in ("N", "H", "n"))
-        beliefs = dict(list(self.BELIEFS.items())[:n])
-        robot = Pose(0.3, -0.1, 0.4)
-        info = _info(beliefs, robot=robot)
-        batch = sample_batch(info, N, H, 6, np.random.SeedSequence((8, N, H)),
-                             dt=0.1, robot_radius=0.3)
-        if case == "every-kind":
-            kinds = {batch.family[i].kind for i in batch.conjecture_ids}
-            assert kinds == {c.kind for c in default_family()}
-        assert "trajectories" not in vars(batch)
-        got = batch.trajectories
-        ref = canonical_trajectories(batch, robot)
-        assert got.shape == ref.shape == (N, H, n, 2)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-        assert batch.scenarios[-1].trajectory.base is got
-
-    def test_decisions_and_reactive_flags_build_none(self, monkeypatch):
-        env, _ = build_environment("bottleneck", 0)
-        batches = []
-
-        def record(*args, **kwargs):
-            batches.append(sample_batch(*args, **kwargs))
-            return batches[-1]
-
-        monkeypatch.setattr(tailnav.controllers, "sample_batch", record)
-        ctrl = Controller("rcsp-full", env, 0)
-        state = init_world(env, 0)
-        obs = observe(state, env)
-        for _ in range(4):
-            d = ctrl.decide(obs)
-            state, obs, _ = step_world(state, d.command, env)
-        assert len(batches) == 4
-        for batch in batches:
-            assert "trajectories" not in vars(batch)
-        reactive = [s.reactive for b in batches for s in b.scenarios]
-        assert any(reactive) and not all(reactive)
-        for batch in batches:
-            assert "trajectories" not in vars(batch)
-        s = batches[0].scenarios[0]
-        assert s.trajectory is s.trajectory
-        assert "trajectories" in vars(batches[0])
+        for traj in canonical_trajectories(batch, info.robot):
+            assert traj.shape == (20, 1, 2)
+            assert np.all(np.isfinite(traj))
 
 
 class TestPropagateObstacles:
@@ -299,7 +230,8 @@ class TestRobotRollout:
         s = batch.scenarios[0]
         _poses, xy = robot_rollout_poses(VelocityCommand(1.0, 0.0),
                                          info.robot, 10, 0.1)
-        assert scenario_trajectory(s, info.robot, xy, 0.1) is s.trajectory
+        assert np.array_equal(scenario_trajectory(s, info.robot, xy, 0.1),
+                              canonical_trajectories(batch, info.robot)[0])
 
 
 class TestProgressReward:
