@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from functools import cache, cached_property
+from itertools import islice
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -113,6 +114,109 @@ def top_k_weights(posterior: Posterior, top_k: int) -> np.ndarray:
     return out / out.sum()
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq mixing): 32-bit words,
+# two running hash constants and the pool mixer's multipliers.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(x) -> list[int]:
+    """SeedSequence's little-endian uint32 words of an entropy or spawn key."""
+    if isinstance(x, (int, np.integer)):
+        n = int(x)
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return words
+    if isinstance(x, (list, tuple, range, np.ndarray)):
+        return [w for v in x for w in _entropy_words(v)]
+    raise TypeError(f"cannot hash SeedSequence entropy of type "
+                    f"{type(x).__name__}; use integers")
+
+
+def _hash_consts(const: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The running hash constant: (xor, multiplier) for each hashed word."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hashmix(value, xor, mult):
+    """Hash 32-bit words, Python ints or uint64 arrays (exact products)."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _substream_states(seed_seq: np.random.SeedSequence,
+                      N: int) -> np.ndarray:
+    """(N, 4) uint64 PCG64 seeds of children 0..N-1 of `seed_seq`.
+
+    Row i is `generate_state(4, np.uint64)` of `seed_seq.spawn(N)[i]` on a
+    fresh sequence, that is of `SeedSequence(seed_seq.entropy, spawn_key=
+    seed_seq.spawn_key + (i,), pool_size=seed_seq.pool_size)`; `seed_seq`
+    itself is left as it is.  The children share every entropy word but
+    the last, so the pool is mixed once with Python ints.  The child word
+    and the output hash then run over all N children as uint64 arrays
+    masked to 32 bits, where each product of two 32-bit words is exact.
+    """
+    if not isinstance(seed_seq, np.random.SeedSequence):
+        raise TypeError("seed_seq must be a numpy.random.SeedSequence")
+    P = seed_seq.pool_size
+    run = _entropy_words(seed_seq.entropy)
+    # A spawned child pads its run entropy to the pool, then appends its key.
+    words = run + [0] * (P - len(run)) + _entropy_words(seed_seq.spawn_key)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, *next(consts)) for w in words[:P]]
+    for src in range(P):
+        for dst in range(P):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for w in words[P:]:
+        for dst in range(P):
+            pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
+
+    u64 = np.uint64
+    # The child index is the last entropy word, mixed into each pool word.
+    xor, mult = np.array([next(consts) for _ in range(P)], dtype=u64).T
+    child = _hashmix(np.arange(N, dtype=u64)[:, None], xor, mult)
+    pools = _mix(np.array(pool, dtype=u64), child)                # (N, P)
+    # The output hash: 8 words cycled from the pool, paired little-endian.
+    xor, mult = np.array(list(islice(_hash_consts(_INIT_B, _MULT_B), 8)),
+                         dtype=u64).T
+    out = _hashmix(pools[:, np.arange(8) % P], xor, mult)
+    return np.ascontiguousarray(out[:, 0::2] | (out[:, 1::2] << u64(32)))
+
+
+@cache
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands precomputed words to a bit generator,
+    which seeds from them.  Made on first use, so that importing tailnav
+    does not import numpy.random."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # The bit generator reads n_words of dtype from the buffer as is.
+            w = self.words
+            if (n_words != len(w) or np.dtype(dtype) != w.dtype
+                    or not w.flags.c_contiguous):
+                raise ValueError("precomputed seed words do not match")
+            return w
+
+    return SeedWords
+
+
 def sample_batch(
     info: InformationState,
     N: int,
@@ -126,16 +230,17 @@ def sample_batch(
 
     Conjecture indices come from the top-k-renormalized posterior, current
     obstacle states from the velocity beliefs, and future motion adds
-    per-step Gaussian process noise.  Every scenario draws from its own
-    spawned substream, first the standard normals of its obstacles'
-    velocities in sorted id order and then its noise, so the batch is
-    reproducible and independent of evaluation order.  Nothing is
+    per-step Gaussian process noise.  Scenario i draws from the PCG64
+    stream of `seed_seq.spawn(N)[i]` on a fresh sequence, seeded through
+    `_substream_states`: first the standard normals of its obstacles'
+    velocities in sorted id order, then those of its noise.  The batch is
+    a pure function of the arguments: `seed_seq` is not advanced, and
+    scenario i does not depend on N or on evaluation order.  Nothing is
     propagated here: `planner.lattice_risks` moves the obstacles.
     """
     if N < 1 or H < 1:
         raise ValueError("N and H must be at least 1")
     master = np.random.default_rng(seed_seq)
-    children = seed_seq.spawn(N)
 
     w = top_k_weights(info.posterior, top_k)
     conj_ids = master.choice(len(w), size=N, p=w)
@@ -149,16 +254,20 @@ def sample_batch(
     # Beliefs hold isotropic covariances c*I; c is the velocity variance.
     var = np.array([b.vel_cov[0, 0] for b in beliefs], dtype=float)
 
-    z = np.empty((N, n, 2))
-    noise = np.zeros((N, H, n, 2))
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        z[i] = rng.standard_normal((n, 2))
-        sigma = info.family[int(conj_ids[i])].sigma_theta
-        if sigma > 0:
-            noise[i] = rng.normal(0.0, sigma, (H, n, 2))
+    # Row 0 of each scenario's draws scales its velocities, rows 1..H its
+    # noise, in the order the stream yields them.
+    z = np.empty((N, H + 1, n, 2))
+    seed_words = _seed_words_type()
+    for i, words in enumerate(_substream_states(seed_seq, N)):
+        rng = np.random.Generator(np.random.PCG64(seed_words(words)))
+        rng.standard_normal(out=z[i])
+    # Generator.normal(0.0, sigma) returns 0.0 + sigma*z; noise-free
+    # conjectures get +0.0.
+    sigma = np.array([c.sigma_theta if c.sigma_theta > 0 else 0.0
+                      for c in info.family])
+    noise = 0.0 + sigma[conj_ids][:, None, None, None] * z[:, 1:]
     init_pos = np.broadcast_to(last_pos, (N, n, 2)).copy()
-    init_vel = vel_mean + np.sqrt(var)[:, None] * z
+    init_vel = vel_mean + np.sqrt(var)[:, None] * z[:, 0]
 
     return ScenarioBatch(
         conjecture_ids=conj_ids, family=info.family, obstacle_ids=ids,

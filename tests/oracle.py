@@ -19,6 +19,10 @@ the kernel's running sums are checked against step-by-step propagation.
 obstacle by obstacle in sorted id order, the way scenario sampling drew
 each scenario's velocities before it drew them as one array;
 `scenarios.sample_batch` must consume every substream the same way.
+`spawned_draws` is the per-scenario loop over `SeedSequence.spawn`
+children, each with its own `default_rng`, that `sample_batch` ran
+before it seeded all children from one vectorised copy of numpy's seed
+hash; `sample_batch` must give its velocities and noise bit for bit.
 
 `scalar_clearance` loops over obstacles and walls one at a time with
 `point_segment_distance`, the way the simulator measured clearance
@@ -105,6 +109,41 @@ def sample_obstacle_state(
         vel = b.vel_mean + np.sqrt(b.vel_cov[0, 0]) * z
         state[oid] = (b.last_pos.copy(), vel)
     return state
+
+
+def spawned_draws(
+    beliefs: Mapping[int, ObstacleBelief],
+    family: Sequence[Conjecture],
+    conjecture_ids: np.ndarray,
+    seed_seq: np.random.SeedSequence,
+    H: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, n, 2) velocities and (N, H, n, 2) noise, one scenario at a time.
+
+    Each scenario builds the generator of its `spawn`ed child of a fresh
+    copy of `seed_seq` and draws its velocities' standard normals, then
+    its conjecture's `normal(0.0, sigma_theta)` noise when sigma_theta is
+    positive, the way `scenarios.sample_batch` drew them before it seeded
+    all children with one hash.
+    """
+    ids = sorted(beliefs)
+    n = len(ids)
+    var = np.array([beliefs[o].vel_cov[0, 0] for o in ids], dtype=float)
+    vel_mean = np.array([beliefs[o].vel_mean for o in ids],
+                        dtype=float).reshape(n, 2)
+    fresh = np.random.SeedSequence(seed_seq.entropy,
+                                   spawn_key=seed_seq.spawn_key,
+                                   pool_size=seed_seq.pool_size)
+    N = len(conjecture_ids)
+    z = np.empty((N, n, 2))
+    noise = np.zeros((N, H, n, 2))
+    for i, child in enumerate(fresh.spawn(N)):
+        rng = np.random.default_rng(child)
+        z[i] = rng.standard_normal((n, 2))
+        sigma = family[int(conjecture_ids[i])].sigma_theta
+        if sigma > 0:
+            noise[i] = rng.normal(0.0, sigma, (H, n, 2))
+    return vel_mean + np.sqrt(var)[:, None] * z, noise
 
 
 def propagate_obstacles(

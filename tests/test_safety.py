@@ -14,6 +14,7 @@ from tailnav.safety import (
     apply_filter,
     command_deviation,
     filter_rollout,
+    filter_rollouts,
     is_feasible,
 )
 from tailnav.world import Observation, StaticMap
@@ -222,11 +223,12 @@ class TestFilterProperties:
             c_t = float(clearance_points(rxy, p.robot_radius, pos0, radii,
                                          wall_a, wall_b))
             candidates = [VelocityCommand(1.0, 0.0)] + list(LATTICE.commands)
+            # One batched rollout per scene; test_rollout_exactness pins
+            # filter_rollouts to the per-command oracle bit for bit.
+            c_mins, _ = filter_rollouts(candidates, obs, beliefs, smap,
+                                        p.horizon, p.dt, p.robot_radius, goal)
             feas = {}
-            for cand in candidates:
-                c_min, _ = filter_rollout(cand, obs, beliefs, smap,
-                                          p.horizon, p.dt, p.robot_radius,
-                                          goal)
+            for cand, c_min in zip(candidates, c_mins.tolist()):
                 feas[cand] = (c_min, is_feasible(cand, c_t, c_min, p))
             any_feasible = any(ok for _, ok in feas.values())
             c_min_chosen, chosen_ok = feas[u]

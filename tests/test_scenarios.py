@@ -7,6 +7,7 @@ from tailnav.beliefs import Conjecture, ObstacleBelief, Posterior, default_famil
 from tailnav.geometry import Pose, VelocityCommand, WallSegment
 from tailnav.scenarios import (
     InformationState,
+    _substream_states,
     reaction_sequence,
     sample_batch,
     top_k_weights,
@@ -21,6 +22,7 @@ from oracle import (
     rollout_command,
     sample_obstacle_state,
     scenario_trajectory,
+    spawned_draws,
     trajectory_risk,
 )
 
@@ -150,6 +152,101 @@ class TestSampleBatch:
         for traj in canonical_trajectories(batch, info.robot):
             assert traj.shape == (20, 1, 2)
             assert np.all(np.isfinite(traj))
+
+
+def _bits(x):
+    """The IEEE bit patterns of a float array, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+# Mixes noise-free conjectures (sigma_theta = 0) with noisy ones.
+MIXED_FAMILY = (Conjecture(0, "constant-velocity", sigma_theta=0.05),
+                Conjecture(1, "static", sigma_theta=0.0),
+                Conjecture(2, "yielding", sigma_theta=0.1),
+                Conjecture(3, "aggressive", sigma_theta=0.0))
+
+
+class TestSeedingExactness:
+    """`sample_batch` seeds its substreams through an in-repo copy of
+    numpy's SeedSequence hash; these pin it to the installed numpy."""
+
+    @pytest.mark.parametrize("N", [1, 64, 1000])
+    @pytest.mark.parametrize("entropy", [
+        0, 1, (3, 7, 42), (2**40 + 3, 7, 599), (9, 8, 7, 6, 5, 4),
+        2**127 + 11,
+    ])
+    def test_hash_matches_spawned_children(self, entropy, N):
+        want = [c.generate_state(4, np.uint64)
+                for c in np.random.SeedSequence(entropy).spawn(N)]
+        got = _substream_states(np.random.SeedSequence(entropy), N)
+        assert got.dtype == np.uint64 and got.shape == (N, 4)
+        assert np.array_equal(got, np.array(want))
+
+    def test_hash_of_a_spawned_parent_and_a_wider_pool(self):
+        for make in (lambda: np.random.SeedSequence(5).spawn(3)[2],
+                     lambda: np.random.SeedSequence((3, 7), pool_size=8)):
+            want = [c.generate_state(4, np.uint64) for c in make().spawn(64)]
+            assert np.array_equal(_substream_states(make(), 64),
+                                  np.array(want))
+
+    def test_unhashable_entropy_raises_instead_of_spawning(self):
+        # numpy accepts strings inside an entropy tuple; the copy of its
+        # hash does not, and says so rather than seeding another way.
+        info = _info({0: _belief((3.0, 1.0), (0.4, -0.2), cov_scale=0.04)})
+        seq = np.random.SeedSequence(("0x10", 3))
+        with pytest.raises(TypeError, match="entropy of type str"):
+            sample_batch(info, 4, 5, 6, seq, dt=0.1, robot_radius=0.3)
+        assert seq.n_children_spawned == 0
+        with pytest.raises(TypeError, match="SeedSequence"):
+            sample_batch(info, 4, 5, 6, 12, dt=0.1, robot_radius=0.3)
+
+    @pytest.mark.parametrize("n_obstacles,N,entropy", [
+        (0, 4, (1, 7, 3)), (1, 1, 0), (3, 64, (11, 7, 40)),
+        (2, 17, (2**40 + 3, 7, 599)),
+    ])
+    def test_batch_matches_the_spawned_loop(self, n_obstacles, N, entropy):
+        beliefs = {5 - k: _belief((k, 1.0 - k), (0.3 * k, -0.2),
+                                  cov_scale=0.04 * (k + 1))
+                   for k in range(n_obstacles)}
+        H = 6
+        info = _info(beliefs, family=MIXED_FAMILY,
+                     posterior=Posterior(np.array([0.2, 0.3, 0.1, 0.4])))
+        batch = sample_batch(info, N, H, 4, np.random.SeedSequence(entropy),
+                             dt=0.1, robot_radius=0.3)
+        vel, noise = spawned_draws(beliefs, MIXED_FAMILY,
+                                   batch.conjecture_ids,
+                                   np.random.SeedSequence(entropy), H)
+        assert np.array_equal(_bits(batch.init_velocities), _bits(vel))
+        assert np.array_equal(_bits(batch.noise), _bits(noise))
+        assert batch.noise.flags.c_contiguous
+
+
+class TestSampleBatchPurity:
+    def test_same_seed_sequence_object_gives_the_same_batch(self):
+        # Fails while sample_batch spawns from the caller's sequence: the
+        # second call then reads children N..2N-1 and moves the counter.
+        info = _info({0: _belief((3.0, 1.0), (0.4, -0.2), cov_scale=0.04),
+                      4: _belief((-1.0, 2.0), (0.0, 0.3), cov_scale=1.0)})
+        seq = np.random.SeedSequence((5, 7, 12))
+        a = sample_batch(info, 8, 10, 6, seq, dt=0.1, robot_radius=0.3)
+        b = sample_batch(info, 8, 10, 6, seq, dt=0.1, robot_radius=0.3)
+        assert seq.n_children_spawned == 0
+        assert np.array_equal(a.conjecture_ids, b.conjecture_ids)
+        assert np.array_equal(_bits(a.init_velocities),
+                              _bits(b.init_velocities))
+        assert np.array_equal(_bits(a.noise), _bits(b.noise))
+
+    def test_scenario_draws_do_not_depend_on_the_batch_size(self):
+        family = (Conjecture(0, "constant-velocity"),)
+        info = _info({0: _belief((3.0, 1.0), (0.4, -0.2), cov_scale=0.04)},
+                     posterior=Posterior(np.array([1.0])), family=family)
+        small = sample_batch(info, 8, 10, 1, np.random.SeedSequence(4),
+                             dt=0.1, robot_radius=0.3)
+        large = sample_batch(info, 64, 10, 1, np.random.SeedSequence(4),
+                             dt=0.1, robot_radius=0.3)
+        assert np.array_equal(small.init_velocities,
+                              large.init_velocities[:8])
+        assert np.array_equal(small.noise, large.noise[:8])
 
 
 class TestPropagateObstacles:
