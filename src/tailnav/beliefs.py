@@ -44,6 +44,9 @@ class Conjecture:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown conjecture kind {self.kind!r}")
+        if not 0.0 <= self.sigma_theta < math.inf:
+            raise ValueError(f"sigma_theta must be finite and nonnegative, "
+                             f"got {self.sigma_theta}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -113,9 +116,9 @@ def conjectured_velocity(conj: Conjecture, vel: np.ndarray, pos: np.ndarray,
     """Velocity an obstacle at `pos` with estimate `vel` would move at under
     the conjecture, given the robot at `robot_xy`.
 
-    All three arguments broadcast over leading axes with a trailing axis of
-    size 2, so a whole batch of obstacles (or scenarios) evaluates in one
-    call.
+    The arguments hold x and y on a leading axis of size 2, so `(2,)`
+    vectors are single points and `(2, ...)` arrays whole batches of
+    obstacles (or scenarios) that broadcast over the axes after it.
     """
     vel = np.asarray(vel, dtype=float)
     pos = np.asarray(pos, dtype=float)
@@ -124,12 +127,14 @@ def conjectured_velocity(conj: Conjecture, vel: np.ndarray, pos: np.ndarray,
     if conj.kind == "constant-velocity":
         return conj.gamma * vel
     to_robot = np.asarray(robot_xy, dtype=float) - pos
-    tx, ty = to_robot[..., 0, None], to_robot[..., 1, None]
+    tx, ty = to_robot
     dist = np.sqrt(tx * tx + ty * ty)   # np.linalg.norm's own arithmetic
     if conj.kind == "yielding":
         return np.where(dist < conj.d_yield, conj.decel * vel, vel)
-    # aggressive: blend toward the unit vector pointing at the robot
-    unit = np.where(dist > 1e-9, to_robot / np.where(dist > 1e-9, dist, 1.0), 0.0)
+    # aggressive: blend toward the unit vector pointing at the robot, a
+    # zero vector when the obstacle sits on the robot
+    unit = np.divide(to_robot, dist, out=np.zeros_like(to_robot),
+                     where=dist > 1e-9)
     return (1.0 - conj.pursuit_gain) * vel + conj.pursuit_gain * unit
 
 

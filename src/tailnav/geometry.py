@@ -138,9 +138,8 @@ def clearance_points(
     x, y = robot_xy[..., 0, None], robot_xy[..., 1, None]   # (..., 1)
     nearest = None
     if obstacle_xy.shape[-2] > 0:
-        dx = x - obstacle_xy[..., 0]
-        dy = y - obstacle_xy[..., 1]
-        nearest = _min_last(np.sqrt(dx * dx + dy * dy) - obstacle_radii)
+        nearest = _min_last(disc_gaps(x - obstacle_xy[..., 0],
+                                      y - obstacle_xy[..., 1], obstacle_radii))
     if wall_a.shape[0] > 0:
         ax, ay = wall_a[:, 0], wall_a[:, 1]                 # (W,)
         abx, aby = wall_b[:, 0] - ax, wall_b[:, 1] - ay
@@ -153,6 +152,14 @@ def clearance_points(
     if nearest is not None:
         c = np.minimum(c, nearest - robot_radius)
     return c
+
+
+def disc_gaps(dx: np.ndarray, dy: np.ndarray,
+              radii: np.ndarray) -> np.ndarray:
+    """Distance from a point to the rim of each disc, elementwise: the disc
+    centers lie (dx, dy) away from the point.  The one disc-distance
+    formula; each caller takes the minimum over its own obstacle axis."""
+    return np.sqrt(dx * dx + dy * dy) - radii
 
 
 def _min_last(a: np.ndarray) -> np.ndarray:

@@ -8,13 +8,21 @@ scores every lattice command against every scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .beliefs import conjectured_velocity
-from .geometry import Pose, VelocityCommand, clearance_points, goal_distance
+from .geometry import (
+    EMPTY_CLEARANCE,
+    Pose,
+    VelocityCommand,
+    clearance_points,
+    disc_gaps,
+    goal_distance,
+)
 from .scenarios import (
     InformationState,
     ScenarioBatch,
@@ -70,6 +78,10 @@ class PlannerParams:
             raise ValueError("risk weight must be nonnegative")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        # The risk and the harness's safety cost both divide by c_safe.
+        if not 0.0 < self.c_safe < math.inf:
+            raise ValueError(f"c_safe must be positive and finite, "
+                             f"got {self.c_safe}")
 
 
 @dataclass(frozen=True)
@@ -144,11 +156,13 @@ def lattice_risks(
 
     Walls do not move, so every path point is measured against them in one
     call before the loop.  All commands and scenarios then step forward
-    together, one horizon step at a time, measured against the obstacles
-    only, so only the (U, N, n, 2) obstacle positions of the current step
-    are held.  Each step's clearance and the walls' are minima capped at
-    EMPTY_CLEARANCE less robot_radius, which rounds monotonically, so the
-    minimum of the two is the clearance against both.
+    together, one horizon step at a time, and only the current step's
+    obstacle positions are held: one (2, n, U, N) buffer with x and y as
+    contiguous planes, the layout `step_obstacles` and `disc_gaps` take.
+    Each step's gaps are reduced over the obstacle axis into a running
+    minimum.  Subtracting robot_radius and capping at EMPTY_CLEARANCE
+    round monotonically, so both are applied once, after the loop, and
+    give the bits of `clearance_points` measuring every step.
 
     Scenario obstacles move only here.  A non-reactive conjecture's
     velocity ignores the robot and the positions, so it is taken once and
@@ -159,56 +173,64 @@ def lattice_risks(
     """
     U, H = paths.shape[0], batch.horizon
     radii, dt = batch.radii, batch.dt
-    obstacles = np.empty((U,) + batch.init_positions.shape)
+    n = radii.size
 
     # Lay the scenario axis out as the non-reactive scenarios followed by
     # one contiguous span per reactive conjecture; `order` maps it back.
-    # A span's slots of `obstacles` carry its positions from step to step.
     ids, reactive = batch.conjecture_ids, batch.reactive
     nonreactive = np.flatnonzero(~reactive)
     members = [np.flatnonzero(ids == cid) for cid in np.unique(ids[reactive])]
     order = np.concatenate([nonreactive, *members])
-    M = len(nonreactive)
+    M, N = len(nonreactive), len(order)
+    # x and y lead, then obstacles, commands and scenarios in that order.
+    pos0 = batch.init_positions[order].T[:, :, None]           # (2,n,1,N)
+    vel0 = batch.init_velocities[order].T[:, :, None]          # (2,n,1,N)
+    noise = np.ascontiguousarray(
+        batch.noise[order].transpose(1, 3, 2, 0))[:, :, :, None]  # (H,2,n,1,N)
+    robot = paths.transpose(1, 2, 0)[:, :, None, :, None]      # (H,2,1,U,1)
+    reaction = reaction_sequence(start, paths).transpose(1, 2, 0)[
+        :, :, None, :, None]                                   # (H,2,1,U,1)
+
     # Non-reactive positions: x_k = x_{k-1} + (v + noise_k)*dt, which the
     # running sum adds left to right, as step after step would.
-    steps = np.empty((H + 1, M) + batch.init_positions.shape[1:])
-    steps[0] = batch.init_positions[nonreactive]
+    steps = np.empty((H + 1, 2, n, 1, M))
+    steps[0] = pos0[..., :M]
     for cid in np.unique(ids[nonreactive]):
         sel = np.flatnonzero(ids[nonreactive] == cid)
-        idx = nonreactive[sel]
-        v = conjectured_velocity(batch.family[int(cid)],
-                                 batch.init_velocities[idx],
-                                 batch.init_positions[idx],
-                                 (start.x, start.y))
-        steps[1:, sel] = np.moveaxis((v[:, None] + batch.noise[idx]) * dt,
-                                     0, 1)
-    nonreactive_xy = np.cumsum(steps, axis=0)[1:]                 # (H,M,n,2)
-    spans = []        # (scenario slice, conjecture, velocities, noise)
+        v = conjectured_velocity(batch.family[int(cid)], vel0[..., sel],
+                                 pos0[..., sel], reaction[0])
+        steps[1:, ..., sel] = (v + noise[..., sel]) * dt
+    nonreactive_xy = np.cumsum(steps, axis=0)[1:]              # (H,2,n,1,M)
+    # A span's slots of `obstacles` carry its positions from step to step.
+    obstacles = np.empty((2, n, U, N))
+    spans = []
     lo = M
     for idx in members:
         span = slice(lo, lo + len(idx))
         lo = span.stop
-        obstacles[:, span] = batch.init_positions[idx]
-        spans.append((span, batch.family[int(ids[idx[0]])],
-                      batch.init_velocities[idx],
-                      np.moveaxis(batch.noise[idx], 0, 1)))
-    reaction = reaction_sequence(start, paths)[:, :, None, None, :]
+        obstacles[..., span] = pos0[..., span]
+        spans.append((span, batch.family[int(ids[idx[0]])]))
 
     wall_a, wall_b = walls_as_arrays(static_map)
     empty = np.zeros((0, 2))
-    wall_clearance = clearance_points(paths, batch.robot_radius, empty,
-                                      np.zeros(0), wall_a, wall_b)  # (U, H)
-    closest = None
-    for k in range(H):
-        obstacles[:, :M] = nonreactive_xy[k]
-        for span, conj, vel, noise in spans:
-            obstacles[:, span] = step_obstacles(
-                conj, obstacles[:, span], vel, reaction[:, k], noise[k], dt)
-        c = clearance_points(paths[:, k, None, :], batch.robot_radius,
-                             obstacles, radii, empty, empty)      # (U, N)
-        closest = c if closest is None else np.minimum(closest, c)
-    closest = np.minimum(closest, wall_clearance.min(axis=1)[:, None])
-    out = np.empty(closest.shape)
+    closest = clearance_points(paths, batch.robot_radius, empty, np.zeros(0),
+                               wall_a, wall_b).min(axis=1)[:, None]  # (U, 1)
+    if n:
+        disc_radii = radii[:, None, None]
+        nearest = None
+        for k in range(H):
+            obstacles[..., :M] = nonreactive_xy[k]
+            for span, conj in spans:
+                obstacles[..., span] = step_obstacles(
+                    conj, obstacles[..., span], vel0[..., span], reaction[k],
+                    noise[k, ..., span], dt)
+            gaps = disc_gaps(robot[k, 0] - obstacles[0],
+                             robot[k, 1] - obstacles[1],
+                             disc_radii).min(axis=0)           # (U, N)
+            nearest = gaps if nearest is None else np.minimum(nearest, gaps)
+        closest = np.minimum(
+            closest, np.minimum(EMPTY_CLEARANCE, nearest - batch.robot_radius))
+    out = np.empty((U, N))
     out[:, order] = np.clip((c_safe - closest) / c_safe, 0.0, 1.0)
     return out
 

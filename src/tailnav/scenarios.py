@@ -83,10 +83,10 @@ class ScenarioBatch:
 
 def step_obstacles(
     conj: Conjecture,
-    pos: np.ndarray,             # (..., 2) current positions
-    init_vel: np.ndarray,        # (..., 2) sampled velocities
-    robot_xy: np.ndarray,        # (..., 2) robot position reacted to
-    noise_k: np.ndarray,         # (..., 2) this step's velocity noise
+    pos: np.ndarray,             # (2, ...) current positions
+    init_vel: np.ndarray,        # (2, ...) sampled velocities
+    robot_xy: np.ndarray,        # (2, ...) robot position reacted to
+    noise_k: np.ndarray,         # (2, ...) this step's velocity noise
     dt: float,
 ) -> np.ndarray:
     """One transition of obstacle positions under a conjecture.
@@ -94,8 +94,9 @@ def step_obstacles(
     The definition of the propagation arithmetic: the planner's
     per-command reactive re-propagation advances through it, and its
     running sum for non-reactive conjectures, whose velocity never
-    changes, repeats its `(v + noise_k) * dt` in the same order.  All
-    arguments broadcast.
+    changes, repeats its `(v + noise_k) * dt` in the same order.  Every
+    argument holds x and y on its leading axis, as `conjectured_velocity`
+    takes them, and the axes after it broadcast.
     """
     v = conjectured_velocity(conj, init_vel, pos, robot_xy)
     return pos + (v + noise_k) * dt
@@ -262,9 +263,8 @@ def sample_batch(
         rng = np.random.Generator(np.random.PCG64(seed_words(words)))
         rng.standard_normal(out=z[i])
     # Generator.normal(0.0, sigma) returns 0.0 + sigma*z; noise-free
-    # conjectures get +0.0.
-    sigma = np.array([c.sigma_theta if c.sigma_theta > 0 else 0.0
-                      for c in info.family])
+    # conjectures (sigma_theta is never negative) get 0.0 + (+-0.0) = +0.0.
+    sigma = np.array([c.sigma_theta for c in info.family])
     noise = 0.0 + sigma[conj_ids][:, None, None, None] * z[:, 1:]
     init_pos = np.broadcast_to(last_pos, (N, n, 2)).copy()
     init_vel = vel_mean + np.sqrt(var)[:, None] * z[:, 0]

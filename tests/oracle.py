@@ -7,8 +7,12 @@ once.  `planner.select_command` must reproduce its per-scenario risks,
 tail risk, reward and objective bit for bit.  The rollout helpers here
 back the scenario tests that check one command against one scenario.
 
+`conjectured_velocity_reference` and `step_obstacles_reference` are the
+obstacle transition with x and y on a trailing axis, the way
+`beliefs.conjectured_velocity` and `scenarios.step_obstacles` took them
+before the planner's kernel laid x and y out as leading planes.
 `propagate_obstacles` rolls obstacles step by step through
-`scenarios.step_obstacles`, and `canonical_trajectories` uses it to
+`step_obstacles_reference`, and `canonical_trajectories` uses it to
 propagate every scenario of a batch with the robot frozen, one stack per
 conjecture, the way the scenario batch built its canonical trajectories
 before `planner.lattice_risks` became the one place scenario obstacles
@@ -75,7 +79,6 @@ from tailnav.scenarios import (
     Scenario,
     ScenarioBatch,
     reaction_sequence,
-    step_obstacles,
     walls_as_arrays,
 )
 from tailnav.world import EnvironmentConfig, Observation, StaticMap
@@ -146,6 +149,40 @@ def spawned_draws(
     return vel_mean + np.sqrt(var)[:, None] * z, noise
 
 
+def conjectured_velocity_reference(conj: Conjecture, vel: np.ndarray,
+                                   pos: np.ndarray,
+                                   robot_xy: np.ndarray) -> np.ndarray:
+    """`beliefs.conjectured_velocity` on arrays whose trailing axis of size
+    2 holds x and y."""
+    vel = np.asarray(vel, dtype=float)
+    pos = np.asarray(pos, dtype=float)
+    if conj.kind == "static":
+        return np.zeros_like(vel)
+    if conj.kind == "constant-velocity":
+        return conj.gamma * vel
+    to_robot = np.asarray(robot_xy, dtype=float) - pos
+    tx, ty = to_robot[..., 0, None], to_robot[..., 1, None]
+    dist = np.sqrt(tx * tx + ty * ty)   # np.linalg.norm's own arithmetic
+    if conj.kind == "yielding":
+        return np.where(dist < conj.d_yield, conj.decel * vel, vel)
+    # aggressive: blend toward the unit vector pointing at the robot
+    unit = np.where(dist > 1e-9, to_robot / np.where(dist > 1e-9, dist, 1.0), 0.0)
+    return (1.0 - conj.pursuit_gain) * vel + conj.pursuit_gain * unit
+
+
+def step_obstacles_reference(
+    conj: Conjecture,
+    pos: np.ndarray,             # (..., 2) current positions
+    init_vel: np.ndarray,        # (..., 2) sampled velocities
+    robot_xy: np.ndarray,        # (..., 2) robot position reacted to
+    noise_k: np.ndarray,         # (..., 2) this step's velocity noise
+    dt: float,
+) -> np.ndarray:
+    """`scenarios.step_obstacles` with x and y on the trailing axis."""
+    v = conjectured_velocity_reference(conj, init_vel, pos, robot_xy)
+    return pos + (v + noise_k) * dt
+
+
 def propagate_obstacles(
     conj: Conjecture,
     init_pos: np.ndarray,        # (..., 2)
@@ -166,7 +203,8 @@ def propagate_obstacles(
     pos = np.array(init_pos, dtype=float)
     init_vel = np.asarray(init_vel, dtype=float)
     for k in range(H):
-        pos = step_obstacles(conj, pos, init_vel, robot_seq[k], noise[k], dt)
+        pos = step_obstacles_reference(conj, pos, init_vel, robot_seq[k],
+                                       noise[k], dt)
         traj[k] = pos
     return traj
 

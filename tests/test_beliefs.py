@@ -53,6 +53,15 @@ class TestConjecture:
         with pytest.raises(ValueError):
             Conjecture(0, "teleporting")
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_negative_or_nonfinite_sigma_theta_rejected(self, sigma):
+        # A negative sigma_theta would silently draw no process noise.
+        with pytest.raises(ValueError, match="sigma_theta"):
+            Conjecture(0, "static", sigma_theta=sigma)
+
+    def test_zero_sigma_theta_accepted(self):
+        assert Conjecture(0, "static", sigma_theta=0.0).sigma_theta == 0.0
+
     def test_round_trips_through_dict(self):
         for c in default_family():
             assert Conjecture.from_dict(c.to_dict()) == c
@@ -123,7 +132,10 @@ class TestConjecturedVelocity:
         assert np.linalg.norm(robot_xy[1, 0, 0] - pos[1, 0, 0]) == 1.5
         for conj in (Conjecture(4, "yielding", d_yield=1.5, decel=0.2),
                      Conjecture(5, "aggressive", pursuit_gain=0.5)):
-            got = conjectured_velocity(conj, vel, pos, robot_xy)
+            # conjectured_velocity takes x and y on the leading axis.
+            got = np.moveaxis(conjectured_velocity(
+                conj, np.moveaxis(vel, -1, 0), np.moveaxis(pos, -1, 0),
+                np.moveaxis(robot_xy, -1, 0)), 0, -1)
             want = norm_form(conj, vel, pos, robot_xy)
             assert got.shape == want.shape == (U, S, n, 2)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -48,6 +48,9 @@ class TestConfig:
         ({"beliefs": {"tua": 1.0}}, "tua"),
         ({"family": [{"id": 0, "kind": "static", "gama": 1.0}]}, "gama"),
         ({"planer": {"alpha": 0.2}}, "planer"),
+        ({"planner": {"c_safe": 0}}, "c_safe"),
+        ({"family": [{"id": 0, "kind": "static", "sigma_theta": -0.1}]},
+         "sigma_theta"),
     ])
     def test_bad_key_or_value_named_at_load(self, tmp_path, user, named):
         p = tmp_path / "cfg.json"

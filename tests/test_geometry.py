@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from tailnav.geometry import (
+    EMPTY_CLEARANCE,
     Disc,
     Pose,
     VelocityCommand,
     WallSegment,
     clearance,
     clearance_points,
+    disc_gaps,
     goal_distance,
     normalize_angle,
     step_unicycle,
@@ -252,6 +254,35 @@ class TestClearancePoints:
         assert c.shape == (2, 2)
         assert c[0] == pytest.approx([2.0, 1.0])
         assert c[1] == pytest.approx([4.0, 2.0])
+
+
+class TestDiscGaps:
+    @pytest.mark.parametrize("n_obs", [1, 6, 40])
+    def test_planner_layout_matches_reference_bit_for_bit(self, n_obs):
+        # The planner's kernel: robot points as (2, 1, U, 1) planes against
+        # (2, n, U, N) obstacle planes, the minimum over the leading
+        # obstacle axis, then robot_radius and the cap.
+        rng = np.random.default_rng(29)
+        U, N = 25, 64
+        for i in range(4):
+            robot_xy = rng.uniform(-4, 4, (U, 1, 2))
+            obstacle_xy = rng.uniform(-4, 4, (U, N, n_obs, 2))
+            radii = rng.uniform(0.1, 0.6, n_obs)
+            if i % 2 == 0:
+                # A robot point on an obstacle centre: a zero distance.
+                robot_xy[0, 0] = obstacle_xy[0, 0, 0]
+            robot = np.moveaxis(robot_xy, -1, 0)[:, None]
+            planes = np.ascontiguousarray(np.moveaxis(obstacle_xy, (-1, -2),
+                                                      (0, 1)))
+            gaps = disc_gaps(robot[0] - planes[0], robot[1] - planes[1],
+                             radii[:, None, None]).min(axis=0)
+            got = np.minimum(EMPTY_CLEARANCE, gaps - 0.3)
+            want = clearance_points_reference(robot_xy, 0.3, obstacle_xy,
+                                              radii, np.zeros((0, 2)),
+                                              np.zeros((0, 2)))
+            assert got.shape == want.shape == (U, N)
+            # Compared as bit patterns, so the sign of a zero counts too.
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestGoalDistance:

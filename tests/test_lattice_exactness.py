@@ -132,6 +132,23 @@ REACTIVE = (Conjecture(0, "yielding", d_yield=2.5, decel=0.2),
             Conjecture(1, "aggressive", pursuit_gain=0.5))
 # All the posterior mass on the default family's gamma = 1.5 conjecture.
 CV_POINT_MASS = Posterior(np.eye(len(default_family()))[3])
+# Little mass on the reactive conjectures: seed 11 draws the aggressive
+# conjecture for exactly one of the 32 scenarios.
+SPARSE_REACTIVE = Posterior(np.array([0.3, 0.2, 0.2, 0.2, 0.07, 0.03]))
+# The robot starts at the origin: ON_START's obstacle 0 sits on it (distance
+# 0 at step 0) and AT_D_YIELD's obstacle 0 is exactly YIELD_AT_1's d_yield
+# = 1 away.
+ON_START = {0: _belief((0.0, 0.0), (0.2, 0.1)),
+            3: _belief((1.5, 0.4), (-0.3, 0.0))}
+AT_D_YIELD = {0: _belief((1.0, 0.0), (-0.3, 0.1)),
+              3: _belief((2.5, -0.6), (0.0, 0.2))}
+YIELD_AT_1 = (Conjecture(0, "yielding", d_yield=1.0, decel=0.2),
+              Conjecture(1, "constant-velocity", gamma=1.0))
+CROWD = {oid: _belief(pos, vel) for oid, (pos, vel) in enumerate([
+    ((1.5, 0.4), (-0.3, 0.0)), ((2.5, -0.6), (0.0, 0.2)),
+    ((0.8, -0.7), (0.1, 0.3)), ((1.2, 1.3), (0.0, -0.4)),
+    ((3.0, 0.2), (-0.5, 0.0)), ((-0.9, 0.5), (0.2, 0.0)),
+    ((2.0, 1.0), (-0.2, -0.2))])}
 
 EDGE_CASES = {
     "horizon-1": dict(H=1),
@@ -142,6 +159,10 @@ EDGE_CASES = {
     "no-walls": dict(static_map=OPEN),
     "empty-scene": dict(beliefs={}, static_map=OPEN),
     "one-conjecture": dict(posterior=CV_POINT_MASS),
+    "aggressive-on-start": dict(family=REACTIVE, beliefs=ON_START),
+    "yielding-at-d_yield": dict(family=YIELD_AT_1, beliefs=AT_D_YIELD),
+    "seven-obstacles": dict(beliefs=CROWD),
+    "one-member-span": dict(posterior=SPARSE_REACTIVE),
 }
 
 
@@ -159,6 +180,18 @@ def test_edge_cases_match_oracle(case, objective):
     if case == "one-conjecture":
         assert batch.family[3].kind == "constant-velocity"
         assert np.all(batch.conjecture_ids == 3)
+    start = np.array([info.robot.x, info.robot.y])
+    if case == "aggressive-on-start":
+        assert np.any(np.all(batch.init_positions == start, axis=-1)
+                      & (batch.conjecture_ids == 1)[:, None])
+    if case == "yielding-at-d_yield":
+        dist = np.linalg.norm(batch.init_positions[:, 0] - start, axis=-1)
+        assert np.all(dist == batch.family[0].d_yield)
+        assert np.any(batch.conjecture_ids == 0)
+    if case == "seven-obstacles":
+        assert batch.radii.size == 7
+    if case == "one-member-span":
+        assert np.bincount(batch.conjecture_ids, minlength=6)[5] == 1
     lattice = CommandLattice.default(1.0, 1.5)
     assert_matches_oracle(info, lattice, batch,
                           PlannerParams(**OBJECTIVES[objective]))

@@ -1,5 +1,7 @@
 """Tail-risk estimators, command scoring, and deterministic selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,12 @@ class TestPlannerParams:
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             PlannerParams(objective="median")
+
+    @pytest.mark.parametrize("c_safe", [0.0, -0.5, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_c_safe_rejected(self, c_safe):
+        # Risks and the harness's safety cost divide by c_safe.
+        with pytest.raises(ValueError, match="c_safe"):
+            PlannerParams(c_safe=c_safe)
 
 
 def _open_info(goal=(10.0, 0.0), robot=Pose(0.0, 0.0, 0.0), beliefs=None,
