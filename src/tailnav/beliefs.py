@@ -5,7 +5,7 @@ tempered, floored posterior over the finite model family.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -47,13 +47,6 @@ class Conjecture:
         if not 0.0 <= self.sigma_theta < math.inf:
             raise ValueError(f"sigma_theta must be finite and nonnegative, "
                              f"got {self.sigma_theta}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "Conjecture":
-        return Conjecture(**d)
 
 
 def default_family() -> tuple[Conjecture, ...]:

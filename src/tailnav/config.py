@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .beliefs import BeliefParams, Conjecture, default_family
@@ -27,7 +27,7 @@ DEFAULT_CONFIG: dict = {
     "filter": {k: v for k, v in asdict(FilterParams()).items()
                if k not in ENV_FIELDS},
     "beliefs": asdict(BeliefParams()),
-    "family": [c.to_dict() for c in default_family()],
+    "family": [asdict(c) for c in default_family()],
     "env_overrides": {},
 }
 
@@ -59,11 +59,8 @@ def load_config(path: str | Path | None = None) -> dict:
         if unknown:
             raise ValueError(f"unknown top-level keys {unknown}")
         check_suite(config)
-        planner_params_from_config(config)
         # The filter defaults stand in for the environment-supplied fields.
-        filter_params_from_config(config, FilterParams())
-        belief_params_from_config(config)
-        family_from_config(config)
+        controller_params(config, FilterParams())
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid config {path}: {exc}") from exc
     return config
@@ -84,10 +81,6 @@ def check_suite(config: dict) -> None:
     bad = sorted(set(controllers) - set(CONTROLLER_KINDS))
     if bad:
         raise ValueError(f"unknown controller kinds {bad}")
-    known = {f.name for f in fields(EnvironmentConfig)}
-    unknown = sorted(set(config.get("env_overrides", {})) - known)
-    if unknown:
-        raise ValueError(f"unknown env_overrides keys {unknown}")
     for name in envs:
         for seed in seeds:
             build_episode_env(name, seed, config)
@@ -112,17 +105,11 @@ def fingerprint(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
-def family_from_config(config: dict) -> tuple[Conjecture, ...]:
-    return tuple(Conjecture.from_dict(d) for d in config["family"])
-
-
-def planner_params_from_config(config: dict) -> PlannerParams:
-    return PlannerParams(**config["planner"])
-
-
-def filter_params_from_config(config: dict, env) -> FilterParams:
-    return FilterParams.for_env(env, **config["filter"])
-
-
-def belief_params_from_config(config: dict) -> BeliefParams:
-    return BeliefParams(**config["beliefs"])
+def controller_params(config: dict, env) -> dict:
+    """Controller's keyword arguments, built from the config's blocks."""
+    return {
+        "planner_params": PlannerParams(**config["planner"]),
+        "filter_params": FilterParams.for_env(env, **config["filter"]),
+        "belief_params": BeliefParams(**config["beliefs"]),
+        "family": tuple(Conjecture(**d) for d in config["family"]),
+    }

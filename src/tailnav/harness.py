@@ -12,19 +12,16 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .config import (
     SCHEMA_VERSION,
-    belief_params_from_config,
     build_episode_env,
     check_suite,
-    family_from_config,
-    filter_params_from_config,
+    controller_params,
     fingerprint,
     load_config,
-    planner_params_from_config,
 )
 from .controllers import Controller
 from .geometry import goal_distance
@@ -39,11 +36,6 @@ from .world import (
 TRACE_COLUMNS = (
     "step", "x", "y", "heading", "v_cmd", "omega_cmd", "v_exec", "omega_exec",
     "clearance", "cvar_selected", "posterior_entropy", "outcome",
-)
-
-METRIC_COLUMNS = (
-    "success", "collision", "timeout", "safety_cost", "min_clearance",
-    "spl", "path_length", "duration", "score",
 )
 
 
@@ -67,8 +59,12 @@ class EpisodeMetrics:
     score: float
 
     def to_dict(self) -> dict:
-        # Latency is wall-clock and excluded from deterministic outputs.
         return {k: getattr(self, k) for k in METRIC_COLUMNS}
+
+
+# Latency is wall-clock and excluded from deterministic outputs.
+METRIC_COLUMNS = tuple(f.name for f in fields(EpisodeMetrics)
+                       if f.name != "mean_planner_latency_ms")
 
 
 @dataclass
@@ -87,27 +83,28 @@ class EpisodeRecord:
 
     def to_json(self) -> str:
         return json.dumps({
-            "env": self.env,
-            "controller": self.controller,
-            "seed": self.seed,
-            "schema_version": self.schema_version,
-            "config_fingerprint": self.config_fingerprint,
-            "env_config": self.env_config,
-            "rows": self.rows,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "metrics": self.metrics.to_dict(),
         }, sort_keys=True)
 
     @staticmethod
     def from_dict(d: dict) -> "EpisodeRecord":
-        m = dict(d["metrics"])
-        m["mean_planner_latency_ms"] = 0.0
-        return EpisodeRecord(
-            env=d["env"], controller=d["controller"], seed=d["seed"],
-            schema_version=d["schema_version"],
-            config_fingerprint=d["config_fingerprint"],
-            env_config=d["env_config"], rows=d["rows"],
-            metrics=EpisodeMetrics(**m),
-        )
+        """The inverse of to_json; a missing or unknown key raises."""
+        return EpisodeRecord(**{**d, "metrics": EpisodeMetrics(
+            **d["metrics"], mean_planner_latency_ms=0.0)})
+
+
+def _world_columns(state, out) -> dict:
+    """The trace columns the world step determines, which replay checks."""
+    return {
+        "x": state.robot.x,
+        "y": state.robot.y,
+        "heading": state.robot.heading,
+        "v_exec": out.executed.v,
+        "omega_exec": out.executed.omega,
+        "clearance": out.clearance,
+        "outcome": out.status,
+    }
 
 
 def run_episode(env_name: str, controller_kind: str, seed: int,
@@ -118,13 +115,8 @@ def run_episode(env_name: str, controller_kind: str, seed: int,
     env_cfg = build_episode_env(env_name, seed, config)
     state = init_world(env_cfg, seed)
 
-    controller = Controller(
-        controller_kind, env_cfg, seed,
-        planner_params=planner_params_from_config(config),
-        filter_params=filter_params_from_config(config, env_cfg),
-        belief_params=belief_params_from_config(config),
-        family=family_from_config(config),
-    )
+    controller = Controller(controller_kind, env_cfg, seed,
+                            **controller_params(config, env_cfg))
     c_safe = config["planner"]["c_safe"]
 
     obs = observe(state, env_cfg)
@@ -146,17 +138,11 @@ def run_episode(env_name: str, controller_kind: str, seed: int,
         min_clearance = min(min_clearance, out.clearance)
         rows.append({
             "step": state.step - 1,
-            "x": state.robot.x,
-            "y": state.robot.y,
-            "heading": state.robot.heading,
             "v_cmd": decision.command.v,
             "omega_cmd": decision.command.omega,
-            "v_exec": out.executed.v,
-            "omega_exec": out.executed.omega,
-            "clearance": out.clearance,
             "cvar_selected": decision.cvar_selected,
             "posterior_entropy": decision.posterior_entropy,
-            "outcome": out.status,
+            **_world_columns(state, out),
         })
 
     outcome = state.outcome
@@ -193,15 +179,19 @@ def run_suite(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
             for e in sorted(suite["environments"])
             for c in sorted(suite["controllers"])
             for s in sorted(suite["seeds"])]
-    records: list[EpisodeRecord] = []
-    failures: list[dict] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for job, result in zip(jobs, pool.map(_run_job_safe, jobs)):
-                _collect(job, result, records, failures)
+            results = list(pool.map(_run_job_safe, jobs))
     else:
-        for job in jobs:
-            _collect(job, _run_job_safe(job), records, failures)
+        results = [_run_job_safe(job) for job in jobs]
+    records: list[EpisodeRecord] = []
+    failures: list[dict] = []
+    for (env, controller, seed, _), result in zip(jobs, results):
+        if isinstance(result, Exception):
+            failures.append({"env": env, "controller": controller,
+                             "seed": seed, "error": repr(result)})
+        else:
+            records.append(result)
 
     out = Path(out_dir)
     (out / "episodes").mkdir(parents=True, exist_ok=True)
@@ -237,15 +227,6 @@ def _run_job_safe(args):
         return exc
 
 
-def _collect(job, result, records, failures):
-    if isinstance(result, Exception):
-        env, controller, seed, _ = job
-        failures.append({"env": env, "controller": controller, "seed": seed,
-                         "error": repr(result)})
-    else:
-        records.append(result)
-
-
 def summarize(records: list[EpisodeRecord]) -> list[dict]:
     """Per-(env, controller) metric means plus a pooled row per controller."""
     groups: dict[tuple, list[EpisodeRecord]] = {}
@@ -262,27 +243,27 @@ def summarize(records: list[EpisodeRecord]) -> list[dict]:
     return rows
 
 
-def write_summary_csv(summary: list[dict], path: Path) -> None:
-    cols = ["env", "controller", "episodes", *METRIC_COLUMNS]
+def _write_csv(path: Path, cols, rows) -> None:
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
-        for row in summary:
+        for row in rows:
             f.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
+def write_summary_csv(summary: list[dict], path: Path) -> None:
+    _write_csv(path, ("env", "controller", "episodes", *METRIC_COLUMNS),
+               summary)
+
+
 def write_trace_csv(record: EpisodeRecord, path: Path) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in record.rows:
-            f.write(",".join(_fmt(row[c]) for c in TRACE_COLUMNS) + "\n")
+    _write_csv(path, TRACE_COLUMNS, record.rows)
 
 
 def write_latency_csv(records: list[EpisodeRecord], path: Path) -> None:
-    with open(path, "w") as f:
-        f.write("env,controller,seed,mean_planner_latency_ms\n")
-        for r in records:
-            f.write(f"{r.env},{r.controller},{r.seed},"
-                    f"{r.metrics.mean_planner_latency_ms!r}\n")
+    _write_csv(path, ("env", "controller", "seed", "mean_planner_latency_ms"),
+               [{"env": r.env, "controller": r.controller, "seed": r.seed,
+                 "mean_planner_latency_ms": r.metrics.mean_planner_latency_ms}
+                for r in records])
 
 
 def _fmt(v) -> str:
@@ -312,8 +293,6 @@ def replay(record: EpisodeRecord) -> dict:
 
     env_cfg = EnvironmentConfig.from_dict(record.env_config)
     state = init_world(env_cfg, record.seed)
-    compare = ("x", "y", "heading", "v_exec", "omega_exec", "clearance",
-               "outcome")
     first_divergence = None
     for row in record.rows:
         if state.outcome != "running":
@@ -322,13 +301,7 @@ def replay(record: EpisodeRecord) -> dict:
             break
         cmd = VelocityCommand(row["v_cmd"], row["omega_cmd"])
         state, _obs, out = step_world(state, cmd, env_cfg)
-        actual = {
-            "x": state.robot.x, "y": state.robot.y,
-            "heading": state.robot.heading,
-            "v_exec": out.executed.v, "omega_exec": out.executed.omega,
-            "clearance": out.clearance, "outcome": out.status,
-        }
-        if any(actual[k] != row[k] for k in compare):
+        if any(v != row[k] for k, v in _world_columns(state, out).items()):
             first_divergence = row["step"]
             break
     return {

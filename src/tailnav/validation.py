@@ -9,7 +9,7 @@ paired bootstrap comparison utility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +34,8 @@ class BoundCheckReport:
         return self.violation_rate <= self.delta
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials, "violations": self.violations,
-            "bound": self.bound, "max_error": self.max_error,
-            "delta": self.delta, "violation_rate": self.violation_rate,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "violation_rate": self.violation_rate,
+                "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -52,11 +48,7 @@ class PairedComparison:
     p_nonpositive: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs, "mean_advantage": self.mean_advantage,
-            "level": self.level, "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper, "p_nonpositive": self.p_nonpositive,
-        }
+        return asdict(self)
 
 
 def cvar_oracle(risks: Sequence[float], alpha: float) -> float:

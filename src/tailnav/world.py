@@ -12,8 +12,8 @@ bit-reproducible from (config, seed) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields, asdict
+from typing import Optional
 
 import numpy as np
 
@@ -84,14 +84,8 @@ class ObstacleSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ObstacleSpec":
-        d = dict(d)
-        d["position"] = tuple(d["position"])
-        d["direction"] = tuple(d["direction"])
-        if d.get("target") is not None:
-            d["target"] = tuple(d["target"])
-        if d.get("retreat") is not None:
-            d["retreat"] = tuple(d["retreat"])
-        return ObstacleSpec(**d)
+        return ObstacleSpec(**{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -120,43 +114,26 @@ class EnvironmentConfig:
             raise ValueError("goal outside map bounds")
 
     def to_dict(self) -> dict:
+        """Every field as is, apart from the four whose JSON form differs."""
         return {
-            "name": self.name,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "static_map": self.static_map.to_dict(),
             "obstacles": [o.to_dict() for o in self.obstacles],
             "start": [self.start.x, self.start.y, self.start.heading],
             "goal": list(self.goal),
-            "goal_radius": self.goal_radius,
-            "robot_radius": self.robot_radius,
-            "dt": self.dt,
-            "max_steps": self.max_steps,
-            "v_max": self.v_max,
-            "omega_max": self.omega_max,
-            "sigma_obs": self.sigma_obs,
-            "sensing_radius": self.sensing_radius,
-            "sigma_act": self.sigma_act,
-            "command_delay": self.command_delay,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "EnvironmentConfig":
-        return EnvironmentConfig(
-            name=d["name"],
-            static_map=StaticMap.from_dict(d["static_map"]),
-            obstacles=tuple(ObstacleSpec.from_dict(o) for o in d["obstacles"]),
-            start=Pose(*d["start"]),
-            goal=tuple(d["goal"]),
-            goal_radius=d["goal_radius"],
-            robot_radius=d["robot_radius"],
-            dt=d["dt"],
-            max_steps=d["max_steps"],
-            v_max=d["v_max"],
-            omega_max=d["omega_max"],
-            sigma_obs=d["sigma_obs"],
-            sensing_radius=d["sensing_radius"],
-            sigma_act=d["sigma_act"],
-            command_delay=d.get("command_delay", 0),
-        )
+        """The inverse of to_dict; a missing or unknown key raises."""
+        return EnvironmentConfig(**{
+            **d,
+            "static_map": StaticMap.from_dict(d["static_map"]),
+            "obstacles": tuple(ObstacleSpec.from_dict(o)
+                               for o in d["obstacles"]),
+            "start": Pose(*d["start"]),
+            "goal": tuple(d["goal"]),
+        })
 
 
 @dataclass(frozen=True)

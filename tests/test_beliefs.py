@@ -1,6 +1,7 @@
 """Conjecture predictions, likelihoods, posterior updates, and tracking."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestConjecture:
 
     def test_round_trips_through_dict(self):
         for c in default_family():
-            assert Conjecture.from_dict(c.to_dict()) == c
+            assert Conjecture(**asdict(c)) == c
 
 
 class TestPredictObstacle:

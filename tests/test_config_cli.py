@@ -7,12 +7,9 @@ import pytest
 from tailnav.cli import build_parser, main
 from tailnav.config import (
     DEFAULT_CONFIG,
-    belief_params_from_config,
-    family_from_config,
-    filter_params_from_config,
+    controller_params,
     fingerprint,
     load_config,
-    planner_params_from_config,
 )
 from tailnav.world import build_environment
 
@@ -89,14 +86,15 @@ class TestConfig:
     def test_param_builders_round_trip(self):
         cfg = load_config()
         env, _ = build_environment("open-space", 0)
-        pp = planner_params_from_config(cfg)
+        params = controller_params(cfg, env)
+        pp = params["planner_params"]
         assert (pp.N, pp.alpha, pp.risk_weight) == (64, 0.1, 2.0)
-        fp = filter_params_from_config(cfg, env)
+        fp = params["filter_params"]
         assert fp.c_hard == 0.15
         assert fp.dt == env.dt
-        bp = belief_params_from_config(cfg)
+        bp = params["belief_params"]
         assert bp.tau == 2.0
-        family = family_from_config(cfg)
+        family = params["family"]
         assert len(family) == 6
 
     def test_checked_in_default_matches_code(self):

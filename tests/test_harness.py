@@ -166,6 +166,44 @@ class TestReplay:
             replay(r)
 
 
+GOLDEN_RECORD = Path(__file__).parent / "golden" / "bottleneck__goal-pd.jsonl"
+
+
+class TestGoldenRecord:
+    """A committed seed-0 bottleneck x goal-pd record (46 rows) pins the
+    episode record format across code versions: it must load, replay and
+    serialise back to the same bytes.  Regenerate it only after an intended
+    format or behaviour change, from the repository root:
+
+        PYTHONPATH=src python -c "from tailnav.harness import run_episode; \
+            print(run_episode('bottleneck', 'goal-pd', 0).to_json())" \
+            > tests/golden/bottleneck__goal-pd.jsonl
+    """
+
+    def test_loads_replays_and_reserialises_byte_for_byte(self):
+        line = GOLDEN_RECORD.read_text().rstrip("\n")
+        [record] = load_records(GOLDEN_RECORD)
+        assert len(record.rows) == record.metrics.duration == 46
+        assert replay(record) == {"match": True, "first_divergence": None,
+                                  "steps": 46}
+        assert record.to_json() == line
+
+    def test_matches_a_fresh_run(self):
+        fresh = run_episode("bottleneck", "goal-pd", 0, load_config())
+        assert fresh.to_json() == GOLDEN_RECORD.read_text().rstrip("\n")
+
+    @pytest.mark.parametrize("where", ["record", "metrics", "env_config"])
+    def test_unknown_key_refused_at_load(self, tmp_path, where):
+        # load_records parses the record and its metrics; replay parses
+        # the environment.
+        d = json.loads(GOLDEN_RECORD.read_text())
+        (d if where == "record" else d[where])["extra"] = 1
+        path = tmp_path / "record.jsonl"
+        path.write_text(json.dumps(d) + "\n")
+        with pytest.raises(TypeError, match="extra"):
+            replay(load_records(path)[0])
+
+
 class TestPersistenceFormats:
     def test_jsonl_is_sorted_and_parseable(self, tmp_path):
         cfg = _small_config()

@@ -85,6 +85,19 @@ class TestBuildEnvironment:
             cfg, _ = build_environment(name, 5)
             assert EnvironmentConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_unknown_key_refused(self):
+        cfg, _ = build_environment("bottleneck", 0)
+        d = {**cfg.to_dict(), "sigma_actt": 0.5}
+        with pytest.raises(TypeError, match="sigma_actt"):
+            EnvironmentConfig.from_dict(d)
+
+    def test_missing_command_delay_loads_as_zero(self):
+        cfg, _ = build_environment("bottleneck", 0)
+        d = cfg.to_dict()
+        del d["command_delay"]
+        assert EnvironmentConfig.from_dict(d) == cfg
+        assert cfg.command_delay == 0
+
 
 class TestObserve:
     def test_exact_positions_without_noise(self):
