@@ -89,9 +89,16 @@ class EpisodeRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "EpisodeRecord":
-        """The inverse of to_json; a missing or unknown key raises."""
-        return EpisodeRecord(**{**d, "metrics": EpisodeMetrics(
+        """The inverse of to_json; a missing or unknown key or column raises."""
+        record = EpisodeRecord(**{**d, "metrics": EpisodeMetrics(
             **d["metrics"], mean_planner_latency_ms=0.0)})
+        for row in record.rows:
+            if row.keys() != set(TRACE_COLUMNS):
+                raise ValueError(
+                    f"row {row.get('step')}: missing columns "
+                    f"{sorted(set(TRACE_COLUMNS) - row.keys())}, unknown "
+                    f"columns {sorted(row.keys() - set(TRACE_COLUMNS))}")
+        return record
 
 
 def _world_columns(state, out) -> dict:

@@ -1,9 +1,9 @@
 """Independent statistical oracles and finite-sample bound checks.
 
-Contains the quantile-integral CVaR oracle, closed-form CVaR for
-point-mass/uniform mixtures, Monte Carlo validation of the uniform CVaR
-approximation bound and of the near-optimality regret bound, and the
-paired bootstrap comparison utility.
+Contains the quantile-integral CVaR oracle, closed-form CVaR for mixtures
+of uniform intervals and point masses, Monte Carlo validation of the
+uniform CVaR approximation bound and of the near-optimality regret bound,
+and the paired bootstrap comparison utility.
 """
 
 from __future__ import annotations
@@ -74,104 +74,72 @@ def cvar_oracle(risks: Sequence[float], alpha: float) -> float:
 # -- closed-form mixtures ---------------------------------------------------
 
 
+def _above(lo: float, hi: float, x: float) -> float:
+    """The fraction of a uniform component on [lo, hi] lying above x; a
+    point mass (lo == hi) lies wholly above x or not at all."""
+    if x < lo:
+        return 1.0
+    if x >= hi:
+        return 0.0
+    return (hi - x) / (hi - lo)
+
+
 @dataclass(frozen=True)
 class Mixture:
-    """Finite mixture of point masses and uniform intervals on the line.
-
-    components: tuple of ("point", c) or ("uniform", lo, hi).
-    weights: mixture probabilities, summing to 1.
-    """
+    """Finite mixture of uniform intervals on the line: components is a
+    tuple of (lo, hi), with lo == hi a point mass; weights sum to 1."""
     components: tuple
     weights: tuple
 
-    def cdf(self, x: float) -> float:
-        total = 0.0
-        for comp, w in zip(self.components, self.weights):
-            if comp[0] == "point":
-                total += w * (1.0 if x >= comp[1] else 0.0)
-            else:
-                _, lo, hi = comp
-                total += w * min(max((x - lo) / (hi - lo), 0.0), 1.0)
-        return total
+    def tail_prob(self, x: float) -> float:
+        """P(X > x)."""
+        return sum(w * _above(lo, hi, x)
+                   for (lo, hi), w in zip(self.components, self.weights))
 
-    def support(self) -> tuple[float, float]:
-        vals = []
-        for comp in self.components:
-            vals.extend(comp[1:])
-        return min(vals), max(vals)
-
-    def tail_prob(self, eta: float) -> float:
-        """P(X > eta)."""
-        total = 0.0
-        for comp, w in zip(self.components, self.weights):
-            if comp[0] == "point":
-                total += w * (1.0 if comp[1] > eta else 0.0)
-            else:
-                _, lo, hi = comp
-                total += w * min(max((hi - eta) / (hi - lo), 0.0), 1.0)
-        return total
-
-    def tail_expectation(self, eta: float) -> float:
-        """E[X * 1{X > eta}]."""
-        total = 0.0
-        for comp, w in zip(self.components, self.weights):
-            if comp[0] == "point":
-                if comp[1] > eta:
-                    total += w * comp[1]
-            else:
-                _, lo, hi = comp
-                a = max(eta, lo)
-                if a < hi:
-                    total += w * (hi * hi - a * a) / (2.0 * (hi - lo))
-        return total
-
-    def quantile(self, p: float) -> float:
-        """Smallest x with F(x) >= p, by bisection on the monotone CDF."""
-        lo, hi = self.support()
-        if self.cdf(lo) >= p:
-            return lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= p:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def cvar(self, alpha: float) -> float:
-        """Exact upper-tail average of the worst alpha fraction.
-
-        Uses the threshold identity with atom handling: the mass of the
-        tail beyond the (1-alpha)-quantile is topped up at the quantile
-        value itself when an atom straddles the boundary.
-        """
+    def value_at_risk(self, alpha: float) -> float:
+        """Smallest x with P(X > x) <= alpha.  P(X > x) is linear between
+        consecutive interval ends and drops at a point mass, so walk the
+        sorted ends to the first where it has reached alpha and solve the
+        line that leads up to it."""
         if not (0.0 < alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        eta = self.quantile(1.0 - alpha)
-        p_gt = self.tail_prob(eta)
-        return (self.tail_expectation(eta) + (alpha - p_gt) * eta) / alpha
+        ends = sorted({e for comp in self.components for e in comp})
+        prev, p_prev = ends[0], 1.0
+        for end in ends:  # P(X > ends[-1]) == 0, so this always breaks
+            p_end = self.tail_prob(end)
+            if p_end <= alpha:
+                break
+            prev, p_prev = end, p_end
+        # The line's value at `end`, before a point mass there drops it.
+        comps = zip(self.components, self.weights)
+        p_line = p_end + sum(w for (lo, hi), w in comps if lo == hi == end)
+        if p_line >= alpha:
+            return end
+        return prev + (p_prev - alpha) / (p_prev - p_line) * (end - prev)
+
+    def cvar(self, alpha: float) -> float:
+        """Exact upper-tail average of the worst alpha fraction: the mean
+        above the value-at-risk eta, where a component is uniform on
+        (max(eta, lo), hi], topped up with eta itself when a point mass
+        straddles it (Rockafellar-Uryasev)."""
+        eta = self.value_at_risk(alpha)
+        expectation = sum(w * _above(lo, hi, eta) * 0.5 * (max(eta, lo) + hi)
+                          for (lo, hi), w in zip(self.components, self.weights))
+        return (expectation + (alpha - self.tail_prob(eta)) * eta) / alpha
 
     def mean(self) -> float:
-        total = 0.0
-        for comp, w in zip(self.components, self.weights):
-            if comp[0] == "point":
-                total += w * comp[1]
-            else:
-                total += w * 0.5 * (comp[1] + comp[2])
-        return total
+        return sum(w * 0.5 * (lo + hi)
+                   for (lo, hi), w in zip(self.components, self.weights))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.choice(len(self.weights), size=n, p=np.asarray(self.weights))
         out = np.empty(n)
-        for j, comp in enumerate(self.components):
+        for j, (lo, hi) in enumerate(self.components):
             mask = idx == j
-            k = int(mask.sum())
-            if k == 0:
-                continue
-            if comp[0] == "point":
-                out[mask] = comp[1]
-            else:
-                out[mask] = rng.uniform(comp[1], comp[2], k)
+            if lo == hi:
+                out[mask] = lo
+            elif mask.any():
+                out[mask] = rng.uniform(lo, hi, int(mask.sum()))
         return out
 
 
@@ -181,17 +149,32 @@ def random_mixture(rng: np.random.Generator, scale: float = 1.0) -> Mixture:
     comps = []
     for _ in range(n_comp):
         if rng.random() < 0.5:
-            comps.append(("point", scale * float(rng.random())))
+            comps.append((scale * float(rng.random()),) * 2)
         else:
             a, b = np.sort(scale * rng.random(2))
             if b - a < 1e-6 * scale:
                 b = a + 1e-6 * scale
-            comps.append(("uniform", float(a), float(b)))
+            comps.append((float(a), float(b)))
     w = rng.dirichlet(np.ones(n_comp))
     return Mixture(components=tuple(comps), weights=tuple(float(v) for v in w))
 
 
 # -- proposition checks ------------------------------------------------------
+
+
+def _check_args(N: int, alpha: float, delta: float, lattice_size: int,
+                trials: int, risk_weight: float = 0.0,
+                risk_bound: float = 1.0) -> None:
+    """Raise a ValueError naming the first argument out of its range."""
+    for name, value, ok, rule in (
+            ("N", N, N >= 1, ">= 1"), ("trials", trials, trials >= 1, ">= 1"),
+            ("lattice_size", lattice_size, lattice_size >= 1, ">= 1"),
+            ("alpha", alpha, 0.0 < alpha <= 1.0, "in (0, 1]"),
+            ("delta", delta, 0.0 < delta < 1.0, "in (0, 1)"),
+            ("risk_weight", risk_weight, risk_weight >= 0.0, ">= 0"),
+            ("risk_bound", risk_bound, risk_bound > 0.0, "> 0")):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_prop_uniform_cvar(
@@ -205,6 +188,7 @@ def check_prop_uniform_cvar(
     the sup-norm CVaR error exceeds
     (B_G / alpha) * sqrt(log(2 * lattice_size / delta) / (2 N)).
     """
+    _check_args(N, alpha, delta, lattice_size, trials, risk_bound=risk_bound)
     bound = (risk_bound / alpha) * math.sqrt(
         math.log(2.0 * lattice_size / delta) / (2.0 * N))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 21)))
@@ -237,6 +221,7 @@ def check_prop_regret(
     empirical maximizer exceeds
     2 * (B_R + risk_weight * B_G / alpha) * sqrt(log(4 * lattice_size / delta) / (2 N)).
     """
+    _check_args(N, alpha, delta, lattice_size, trials, risk_weight)
     eps = (1.0 + risk_weight / alpha) * math.sqrt(
         math.log(4.0 * lattice_size / delta) / (2.0 * N))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 22)))

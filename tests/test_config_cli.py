@@ -143,3 +143,17 @@ class TestCli:
         reports = json.loads(capsys.readouterr().out)
         assert reports["uniform_cvar"]["passed"]
         assert reports["regret"]["passed"]
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--trials", "0", "trials"), ("--samples", "0", "N"),
+        ("--delta", "0", "delta"), ("--alpha", "0", "alpha"),
+        ("--lattice-size", "0", "lattice_size"),
+        ("--risk-weight", "-1", "risk_weight"),
+    ])
+    def test_validate_bad_argument_is_one_line_exit_2(self, capsys, flag,
+                                                      value, named):
+        assert main(["validate", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"tailnav validate: error: {named} must be")

@@ -203,6 +203,17 @@ class TestGoldenRecord:
         with pytest.raises(TypeError, match="extra"):
             replay(load_records(path)[0])
 
+    def test_row_with_wrong_columns_refused_at_load(self, tmp_path):
+        d = json.loads(GOLDEN_RECORD.read_text())
+        for row in d["rows"]:
+            del row["cvar_selected"]
+            row["junk"] = 0
+        path = tmp_path / "record.jsonl"
+        path.write_text(json.dumps(d) + "\n")
+        with pytest.raises(ValueError, match=r"row 0: missing columns "
+                           r"\['cvar_selected'\], unknown columns \['junk'\]"):
+            load_records(path)
+
 
 class TestPersistenceFormats:
     def test_jsonl_is_sorted_and_parseable(self, tmp_path):

@@ -51,22 +51,61 @@ class TestCvarOracle:
 
 class TestMixture:
     def test_point_mass_cvar_is_constant(self):
-        m = Mixture(components=(("point", 0.7),), weights=(1.0,))
+        m = Mixture(components=((0.7, 0.7),), weights=(1.0,))
         for alpha in (0.1, 0.5, 1.0):
             assert m.cvar(alpha) == pytest.approx(0.7)
 
     def test_uniform_cvar_analytic(self):
-        m = Mixture(components=(("uniform", 0.0, 1.0),), weights=(1.0,))
+        m = Mixture(components=((0.0, 1.0),), weights=(1.0,))
         assert m.cvar(0.1) == pytest.approx(0.95, abs=1e-9)
         assert m.cvar(1.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_two_point_mixture(self):
-        m = Mixture(components=(("point", 0.0), ("point", 1.0)),
+        m = Mixture(components=((0.0, 0.0), (1.0, 1.0)),
                     weights=(0.5, 0.5))
         assert m.cvar(0.5) == pytest.approx(1.0)
         assert m.cvar(1.0) == pytest.approx(0.5)
         # Tail fraction straddling the atom: mixes the two values.
         assert m.cvar(0.75) == pytest.approx((0.5 * 1.0 + 0.25 * 0.0) / 0.75)
+
+    def test_uniform_known_answers(self):
+        m = Mixture(components=((0.0, 1.0),), weights=(1.0,))
+        for alpha in (0.1, 0.25, 0.5, 1.0):
+            assert m.value_at_risk(alpha) == pytest.approx(1.0 - alpha,
+                                                           abs=1e-15)
+            assert m.cvar(alpha) == pytest.approx(1.0 - alpha / 2.0,
+                                                  abs=1e-15)
+
+    def test_var_is_left_end_of_flat_cdf(self):
+        # 1/2 U[0,1] + 1/2 point(3): P(X > x) = 1/2 on all of [1, 3).
+        m = Mixture(components=((0.0, 1.0), (3.0, 3.0)), weights=(0.5, 0.5))
+        assert m.value_at_risk(0.5) == 1.0
+        assert m.cvar(0.5) == 3.0
+        # The tail of mass 3/4 is the atom plus U(1/2, 1] of mass 1/4.
+        assert m.value_at_risk(0.75) == 0.5
+        assert m.cvar(0.75) == pytest.approx(2.25, abs=1e-15)
+
+    def test_alpha_cuts_an_atom(self):
+        # 1/2 U[0,2] + 1/2 point(1): P(X > x) drops from 3/4 to 1/4 at 1,
+        # so half the atom enters the tail with U(1, 2] of mass 1/4.
+        m = Mixture(components=((0.0, 2.0), (1.0, 1.0)), weights=(0.5, 0.5))
+        assert m.value_at_risk(0.5) == 1.0
+        assert m.cvar(0.5) == pytest.approx(1.25, abs=1e-15)
+
+    def test_alpha_exactly_on_a_step(self):
+        m = Mixture(components=((0.0, 0.0), (1.0, 1.0)), weights=(0.25, 0.75))
+        # P(X > 0) == 3/4: the value-at-risk is the smallest such x.
+        assert m.value_at_risk(0.75) == 0.0
+        assert m.cvar(0.75) == 1.0
+        assert m.value_at_risk(0.5) == 1.0
+        assert m.cvar(0.5) == 1.0
+        assert m.cvar(1.0) == pytest.approx(m.mean()) == 0.75
+
+    def test_alpha_out_of_range_rejected(self):
+        m = Mixture(components=((0.0, 1.0),), weights=(1.0,))
+        for alpha in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                m.cvar(alpha)
 
     def test_closed_form_matches_monte_carlo(self):
         rng = np.random.default_rng(5)
@@ -121,6 +160,20 @@ class TestBoundChecks:
                                    trials=50, seed=2)
         assert report.violations == 0
         assert report.max_error == 0.0
+
+    @pytest.mark.parametrize("name,value", [
+        ("N", 0), ("trials", 0), ("lattice_size", 0), ("alpha", 0.0),
+        ("alpha", 1.5), ("delta", 0.0), ("delta", 1.0), ("risk_weight", -1.0),
+        ("risk_bound", 0.0),
+    ])
+    def test_argument_out_of_range_named(self, name, value):
+        common = dict(N=50, alpha=0.25, delta=0.05, lattice_size=2, trials=2)
+        for check, extra in ((check_prop_uniform_cvar, {"risk_bound": 1.0}),
+                             (check_prop_regret, {"risk_weight": 1.0})):
+            args = {**common, **extra}
+            if name in args:
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    check(**{**args, name: value})
 
     def test_reports_deterministic_under_seed(self):
         kw = dict(N=200, alpha=0.2, delta=0.05, lattice_size=5, trials=50)
