@@ -30,6 +30,14 @@ class BeliefParams:
     smoothing: float = 0.2
     sigma_like_slack: float = 0.05  # added to sigma_obs for the likelihood scale
 
+    def __post_init__(self):
+        # floor < 1/|family| is checked where the family is known; a positive
+        # slack keeps the likelihood scale positive for noise-free sensing.
+        if not (self.tau > 0 and 0 < self.smoothing <= 1 and self.floor >= 0
+                and self.sigma_like_slack > 0):
+            raise ValueError(f"need tau > 0, smoothing in (0, 1], floor >= 0 "
+                             f"and sigma_like_slack > 0, got {self}")
+
 
 @dataclass(frozen=True)
 class Conjecture:
@@ -141,7 +149,7 @@ def predict_obstacle(conj: Conjecture, belief: ObstacleBelief, robot: Pose,
 
 def likelihood(conj: Conjecture, beliefs: Mapping[int, ObstacleBelief],
                obs: Observation, robot: Pose, sigma_like: float,
-               dt: float = 0.1) -> float:
+               dt: float) -> float:
     """Product of isotropic Gaussian densities of the observed positions
     around the conjecture's predictions.
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .config import DEFAULT_CONFIG, load_config
 from .harness import load_records, replay, run_episode, run_suite
+from .planner import CommandLattice, PlannerParams
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -101,10 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the finite-sample bound checks")
     p_val.add_argument("--samples", type=int, default=500,
                        help="samples N per risk distribution")
-    p_val.add_argument("--alpha", type=float, default=0.1)
+    planner = PlannerParams()
+    p_val.add_argument("--alpha", type=float, default=planner.alpha)
     p_val.add_argument("--delta", type=float, default=0.05)
-    p_val.add_argument("--risk-weight", type=float, default=2.0)
-    p_val.add_argument("--lattice-size", type=int, default=25)
+    p_val.add_argument("--risk-weight", type=float,
+                       default=planner.risk_weight)
+    p_val.add_argument("--lattice-size", type=int, default=len(
+        CommandLattice.default(1.0, 1.0).commands))
     p_val.add_argument("--trials", type=int, default=200)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate)

@@ -106,10 +106,19 @@ def fingerprint(config: dict) -> str:
 
 
 def controller_params(config: dict, env) -> dict:
-    """Controller's keyword arguments, built from the config's blocks."""
+    """Controller's keyword arguments, built from the config's blocks, with
+    the bounds that depend on the family's size checked."""
+    planner = PlannerParams(**config["planner"])
+    beliefs = BeliefParams(**config["beliefs"])
+    family = tuple(Conjecture(**d) for d in config["family"])
+    n = len(family)
+    if planner.top_k > n or beliefs.floor >= 1.0 / n:
+        raise ValueError(f"{n} conjectures need top_k <= {n} and floor < "
+                         f"1/{n}, got top_k {planner.top_k}, floor "
+                         f"{beliefs.floor}")
     return {
-        "planner_params": PlannerParams(**config["planner"]),
+        "planner_params": planner,
         "filter_params": FilterParams.for_env(env, **config["filter"]),
-        "belief_params": BeliefParams(**config["beliefs"]),
-        "family": tuple(Conjecture(**d) for d in config["family"]),
+        "belief_params": beliefs,
+        "family": family,
     }

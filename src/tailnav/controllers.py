@@ -12,7 +12,7 @@ Kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,10 +93,8 @@ class Controller:
         self.env = env
         self.seed = seed
         self.family = family if family is not None else default_family()
-        pp = planner_params if planner_params is not None else PlannerParams()
-        if kind == "mean-risk-filter":
-            pp = replace(pp, objective="mean")
-        self.planner_params = pp
+        self.planner_params = planner_params if planner_params is not None \
+            else PlannerParams()
         self.filter_params = filter_params if filter_params is not None else \
             FilterParams.for_env(env)
         self.belief_params = belief_params if belief_params is not None else \
@@ -133,7 +131,9 @@ class Controller:
         pp = self.planner_params
         batch = sample_batch(info, pp.N, pp.H, pp.top_k, seq,
                              env.dt, env.robot_radius)
-        u_nom, scores = select_command(info, self.lattice, batch, pp)
+        u_nom, scores = select_command(
+            info, self.lattice, batch, pp,
+            mean_risk=self.kind == "mean-risk-filter")
         chosen = next(s for s in scores if s.command == u_nom)
 
         if self.kind == "cvar-only":

@@ -1,9 +1,9 @@
 """Tail-risk command scoring over a finite velocity lattice.
 
 Implements the empirical CVaR tail term in both the sorted-tail and the
-threshold-minimization forms, plus mean and worst-case objective variants,
-and deterministic argmax selection.  One step-wise kernel, `lattice_risks`,
-scores every lattice command against every scenario.
+threshold-minimization forms, and deterministic argmax selection.  One
+step-wise kernel, `lattice_risks`, scores every lattice command against
+every scenario.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .scenarios import (
     walls_as_arrays,
 )
 from .world import StaticMap
-
-OBJECTIVES = ("cvar", "mean", "worst")
 
 
 @dataclass(frozen=True)
@@ -66,18 +64,18 @@ class PlannerParams:
     H: int = 20
     alpha: float = 0.1
     risk_weight: float = 2.0
-    objective: str = "cvar"
     top_k: int = 6
     c_safe: float = 0.5
-    fractional_tail: bool = True
 
     def __post_init__(self):
+        counts = {"N": self.N, "H": self.H, "top_k": self.top_k}
+        if not all(isinstance(v, int) and v >= 1 for v in counts.values()):
+            raise ValueError(f"N, H and top_k must be integers >= 1, "
+                             f"got {counts}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         if self.risk_weight < 0:
             raise ValueError("risk weight must be nonnegative")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
         # The risk and the harness's safety cost both divide by c_safe.
         if not 0.0 < self.c_safe < math.inf:
             raise ValueError(f"c_safe must be positive and finite, "
@@ -93,14 +91,11 @@ class CommandScore:
     risks: np.ndarray = field(repr=False)    # (N,) per-scenario risk
 
 
-def empirical_cvar(risks: Sequence[float], alpha: float,
-                   fractional: bool = True) -> float:
+def empirical_cvar(risks: Sequence[float], alpha: float) -> float:
     """Average of the largest-risk alpha fraction of the samples.
 
-    The fractional convention weights the boundary sample so the result
-    exactly matches the quantile-integral tail average; with
-    fractional=False the plain mean of the top ceil(alpha*N) samples is
-    returned instead.
+    The boundary sample is weighted fractionally, so the result exactly
+    matches the quantile-integral tail average.
     """
     x = np.asarray(risks, dtype=float)
     if x.size == 0:
@@ -111,9 +106,6 @@ def empirical_cvar(risks: Sequence[float], alpha: float,
     m = alpha * x.size
     if m <= 1.0:
         return float(x[0])
-    if not fractional:
-        k = min(int(np.ceil(m)), x.size)
-        return float(x[:k].mean())
     k = int(np.floor(m))
     if k >= x.size:
         return float(x.mean())
@@ -235,15 +227,6 @@ def lattice_risks(
     return out
 
 
-def tail_term(risks: np.ndarray, params: PlannerParams) -> float:
-    """The objective's risk statistic over one command's scenario risks."""
-    if params.objective == "cvar":
-        return empirical_cvar(risks, params.alpha, params.fractional_tail)
-    if params.objective == "mean":
-        return float(risks.mean())
-    return float(risks.max())
-
-
 def tie_break_key(score: float, cmd: VelocityCommand, v_max: float,
                   index: int) -> tuple:
     """Deterministic preference: higher score, then smaller |omega|, then
@@ -256,11 +239,14 @@ def select_command(
     lattice: CommandLattice,
     batch: ScenarioBatch,
     params: PlannerParams,
+    mean_risk: bool = False,
 ) -> tuple[VelocityCommand, list[CommandScore]]:
     """Score every lattice command and return the deterministic argmax.
 
     A command's reward is the reduction in goal distance over its rollout;
-    its objective is reward - risk_weight * tail term of its risks.
+    its objective is reward - risk_weight * tail term of its risks.  The
+    tail term is the empirical CVaR at params.alpha, or with mean_risk the
+    mean risk, the risk-neutral ablation.
     """
     start, goal = info.robot, info.goal
     paths = lattice_paths(lattice.commands, start, batch.horizon, batch.dt)
@@ -269,7 +255,8 @@ def select_command(
     scores = []
     for u, (x, y), r in zip(lattice.commands, paths[:, -1].tolist(), risks):
         reward = d0 - goal_distance(Pose(x, y, 0.0), goal)
-        tail = tail_term(r, params)
+        tail = (float(r.mean()) if mean_risk
+                else empirical_cvar(r, params.alpha))
         scores.append(CommandScore(
             command=u, mean_reward=reward, tail_risk=tail,
             objective=reward - params.risk_weight * tail, risks=r))

@@ -42,6 +42,9 @@ class FilterParams:
         if min(self.c_hard, self.kappa, self.horizon, self.w_progress,
                self.w_clearance, self.w_deviation) <= 0:
             raise ValueError("filter parameters must be positive")
+        if not isinstance(self.horizon, int):
+            raise ValueError(f"horizon must be an integer, "
+                             f"got {self.horizon!r}")
 
     @classmethod
     def for_env(cls, env, **params) -> "FilterParams":

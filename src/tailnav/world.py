@@ -109,6 +109,14 @@ class EnvironmentConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.max_steps <= 0:
             raise ValueError("dt and max_steps must be positive")
+        bad = [n for n in ("robot_radius", "goal_radius", "v_max", "omega_max",
+                           "sensing_radius") if not getattr(self, n) > 0]
+        bad += [n for n in ("sigma_obs", "sigma_act") if not getattr(self, n) >= 0]
+        if not isinstance(self.command_delay, int) or self.command_delay < 0:
+            bad.append("command_delay")
+        if bad:
+            raise ValueError("out of range: " + ", ".join(
+                f"{n}={getattr(self, n)!r}" for n in bad))
         x0, y0, x1, y1 = self.static_map.bounds
         if not (x0 <= self.goal[0] <= x1 and y0 <= self.goal[1] <= y1):
             raise ValueError("goal outside map bounds")

@@ -354,8 +354,10 @@ def score_command(
     goal: tuple[float, float],
     static_map: StaticMap,
     params: PlannerParams,
+    mean_risk: bool = False,
 ) -> CommandScore:
-    """Roll one command against every scenario in the batch and score it."""
+    """Roll one command against every scenario in the batch and score it
+    by the CVaR of its risks, or with mean_risk by their mean."""
     H, dt = batch.horizon, batch.dt
     _poses, xy = robot_rollout_poses(u, start, H, dt)
     wall_a, wall_b = walls_as_arrays(static_map)
@@ -388,12 +390,8 @@ def score_command(
         g = np.clip((params.c_safe - c) / params.c_safe, 0.0, 1.0)
         risks[idxs] = g.max(axis=-1)
 
-    if params.objective == "cvar":
-        tail = empirical_cvar(risks, params.alpha, params.fractional_tail)
-    elif params.objective == "mean":
-        tail = float(risks.mean())
-    else:
-        tail = float(risks.max())
+    tail = float(risks.mean()) if mean_risk else empirical_cvar(
+        risks, params.alpha)
     score = reward - params.risk_weight * tail
     return CommandScore(command=u, mean_reward=reward, tail_risk=tail,
                         objective=score, risks=risks)

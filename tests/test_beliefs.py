@@ -147,7 +147,7 @@ class TestLikelihood:
         c = Conjecture(0, "static")
         beliefs = {0: _belief((2.0, 0.0), (0.0, 0.0))}
         obs = _obs(Pose(0, 0, 0), [(0, (2.0, 0.0), 0.35)])
-        lik = likelihood(c, beliefs, obs, Pose(0, 0, 0), 0.1)
+        lik = likelihood(c, beliefs, obs, Pose(0, 0, 0), 0.1, dt=0.1)
         assert lik == pytest.approx(1.0 / (2.0 * math.pi * 0.01), rel=1e-9)
 
     def test_mirror_offsets_equal(self):
@@ -155,10 +155,10 @@ class TestLikelihood:
         beliefs = {0: _belief((2.0, 0.0), (0.0, 0.0))}
         left = likelihood(c, beliefs,
                           _obs(Pose(0, 0, 0), [(0, (1.9, 0.0), 0.35)]),
-                          Pose(0, 0, 0), 0.1)
+                          Pose(0, 0, 0), 0.1, dt=0.1)
         right = likelihood(c, beliefs,
                            _obs(Pose(0, 0, 0), [(0, (2.1, 0.0), 0.35)]),
-                           Pose(0, 0, 0), 0.1)
+                           Pose(0, 0, 0), 0.1, dt=0.1)
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_stale_belief_predicts_across_the_whole_gap(self):
@@ -175,20 +175,21 @@ class TestLikelihood:
 
     def test_no_visible_obstacles_gives_unit(self):
         c = Conjecture(0, "static")
-        lik = likelihood(c, {}, _obs(Pose(0, 0, 0), []), Pose(0, 0, 0), 0.1)
+        lik = likelihood(c, {}, _obs(Pose(0, 0, 0), []), Pose(0, 0, 0), 0.1,
+                         dt=0.1)
         assert lik == 1.0
 
     def test_positive_under_huge_offset(self):
         c = Conjecture(0, "static")
         beliefs = {0: _belief((0.0, 0.0), (0.0, 0.0))}
         obs = _obs(Pose(0, 0, 0), [(0, (1e3, 1e3), 0.35)])
-        lik = likelihood(c, beliefs, obs, Pose(0, 0, 0), 0.1)
+        lik = likelihood(c, beliefs, obs, Pose(0, 0, 0), 0.1, dt=0.1)
         assert lik > 0.0
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
             likelihood(Conjecture(0, "static"), {}, _obs(Pose(0, 0, 0), []),
-                       Pose(0, 0, 0), 0.0)
+                       Pose(0, 0, 0), 0.0, dt=0.1)
 
 
 class TestUpdatePosterior:

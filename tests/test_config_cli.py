@@ -11,6 +11,7 @@ from tailnav.config import (
     fingerprint,
     load_config,
 )
+from tailnav.planner import CommandLattice, PlannerParams
 from tailnav.world import build_environment
 
 
@@ -69,6 +70,43 @@ class TestConfig:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(user))
         with pytest.raises(ValueError, match=f"invalid config .*{named}"):
+            load_config(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("objective", "mean"), ("objective", "cvar"),
+        ("fractional_tail", False)])
+    def test_removed_planner_knobs_refused_at_load(self, tmp_path, key,
+                                                   value):
+        # The controller kind alone picks the tail statistic.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"planner": {key: value}}))
+        with pytest.raises(ValueError, match=f"invalid config .*{key}"):
+            load_config(p)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("planner", "N", 0), ("planner", "H", 2.5), ("planner", "top_k", 0),
+        ("planner", "top_k", 7), ("beliefs", "tau", 0),
+        ("beliefs", "tau", -1.0), ("beliefs", "smoothing", 0.0),
+        ("beliefs", "smoothing", 1.5), ("beliefs", "floor", -0.01),
+        ("beliefs", "floor", 1.0 / 6), ("beliefs", "sigma_like_slack", -0.5),
+        ("beliefs", "sigma_like_slack", 0.0), ("filter", "horizon", 2.5)])
+    def test_out_of_range_parameter_refused_at_load(self, tmp_path, block,
+                                                    key, value):
+        # Each passed load and then failed every episode.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({block: {key: value}}))
+        with pytest.raises(ValueError, match=f"invalid config .*{key}"):
+            load_config(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_act", -0.01), ("sigma_obs", -0.05), ("command_delay", -1),
+        ("command_delay", 1.5), ("robot_radius", 0.0), ("goal_radius", -0.1),
+        ("v_max", 0.0), ("omega_max", -1.5), ("sensing_radius", 0.0)])
+    def test_out_of_range_env_override_refused_at_load(self, tmp_path, key,
+                                                       value):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"env_overrides": {key: value}}))
+        with pytest.raises(ValueError, match=f"invalid config .*{key}"):
             load_config(p)
 
     def test_env_override_fields_accepted(self, tmp_path):
@@ -135,6 +173,13 @@ class TestCli:
         record = out / "episodes" / "open-space__goal-pd.jsonl"
         assert main(["replay", "--record", str(record)]) == 0
         assert "match" in capsys.readouterr().out
+
+    def test_validate_defaults_are_the_planners(self):
+        args = build_parser().parse_args(["validate"])
+        planner = PlannerParams()
+        assert (args.alpha, args.risk_weight, args.lattice_size) == (
+            planner.alpha, planner.risk_weight,
+            len(CommandLattice.default(1.0, 1.5).commands))
 
     def test_validate_small_run(self, capsys):
         code = main(["validate", "--samples", "200", "--alpha", "0.25",

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import tailnav.controllers
 from tailnav.beliefs import BeliefParams
 from tailnav.controllers import CONTROLLER_KINDS, Controller
 from tailnav.geometry import Disc, VelocityCommand, clearance, step_unicycle
-from tailnav.planner import PlannerParams
+from tailnav.planner import PlannerParams, empirical_cvar, select_command
 from tailnav.world import build_environment, init_world, observe, step_world
 
 
@@ -26,11 +27,34 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Controller("mpc", open_env, 0)
 
-    def test_mean_variant_overrides_objective(self, open_env):
-        c = Controller("mean-risk-filter", open_env, 0)
-        assert c.planner_params.objective == "mean"
-        c = Controller("rcsp-full", open_env, 0)
-        assert c.planner_params.objective == "cvar"
+    def test_mean_variant_overrides_objective(self, monkeypatch):
+        # The kind alone picks the tail statistic: mean-risk-filter scores
+        # by the mean risk, every other scenario kind by the CVaR.
+        env, _ = build_environment("warehouse-squeeze", 0)
+        scored = []
+
+        def spy(*args, **kwargs):
+            result = select_command(*args, **kwargs)
+            scored.extend(result[1])
+            return result
+        monkeypatch.setattr(tailnav.controllers, "select_command", spy)
+        for kind in ("rcsp-full", "rcsp-fixed-predictor", "mean-risk-filter",
+                     "cvar-only"):
+            scored.clear()
+            ctrl = Controller(kind, env, 0)
+            state = init_world(env, 0)
+            obs = observe(state, env)
+            for _ in range(3):
+                ctrl.decide(obs)
+                state, obs, _ = step_world(state, VelocityCommand(0.5, 0.0),
+                                           env)
+            alpha = ctrl.planner_params.alpha
+            assert any(float(s.risks.mean()) != empirical_cvar(s.risks, alpha)
+                       for s in scored)
+            for s in scored:
+                assert s.tail_risk == (float(s.risks.mean())
+                                       if kind == "mean-risk-filter"
+                                       else empirical_cvar(s.risks, alpha))
 
 
 class TestDecisions:

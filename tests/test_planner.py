@@ -38,11 +38,6 @@ class TestEmpiricalCvar:
     def test_small_tail_reduces_to_max(self):
         assert empirical_cvar([0.2, 0.9, 0.4], 0.05) == pytest.approx(0.9)
 
-    def test_nonfractional_convention(self):
-        # ceil(1.5) = 2 samples averaged plainly.
-        assert empirical_cvar([0, 1, 2, 3], 0.375,
-                              fractional=False) == pytest.approx(2.5)
-
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.random(37)
@@ -127,8 +122,17 @@ class TestPlannerParams:
             PlannerParams(alpha=0.0)
 
     def test_unknown_objective(self):
-        with pytest.raises(ValueError):
-            PlannerParams(objective="median")
+        # The controller kind picks the tail statistic; the parameters
+        # carry no objective of their own.
+        with pytest.raises(TypeError, match="objective"):
+            PlannerParams(objective="mean")
+
+    @pytest.mark.parametrize("field, value", [
+        ("N", 0), ("H", -1), ("top_k", 0), ("N", 64.0), ("H", 2.5),
+        ("top_k", "6")])
+    def test_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            PlannerParams(**{field: value})
 
     @pytest.mark.parametrize("c_safe", [0.0, -0.5, math.nan, math.inf])
     def test_nonpositive_or_nonfinite_c_safe_rejected(self, c_safe):
@@ -166,6 +170,16 @@ def _batch(info, N=32, H=10, seed=0):
                         robot_radius=0.3)
 
 
+def _tail_statistics(batch, info, u=VelocityCommand(1.0, 0.0)):
+    """The CVaR and mean tails of one command, and its worst risk."""
+    def score(mean_risk):
+        return score_command(u, batch, info.robot, info.goal,
+                             info.static_map, PlannerParams(), mean_risk)
+    cvar = score(False)
+    return {"cvar": cvar.tail_risk, "mean": score(True).tail_risk,
+            "worst": float(cvar.risks.max())}
+
+
 class TestScoreCommand:
     def test_zero_risk_weight_scores_pure_progress(self):
         info = _open_info(beliefs={0: _belief((2.0, 0.0), (0.0, 0.0))})
@@ -190,12 +204,7 @@ class TestScoreCommand:
             robot=Pose(0.0, 0.0, 0.0),
         )
         batch = _batch(info)
-        u = VelocityCommand(1.0, 0.0)
-        vals = {}
-        for obj in ("cvar", "mean", "worst"):
-            s = score_command(u, batch, info.robot, info.goal,
-                              info.static_map, PlannerParams(objective=obj))
-            vals[obj] = s.tail_risk
+        vals = _tail_statistics(batch, info)
         assert vals["cvar"] == pytest.approx(vals["mean"], abs=1e-12)
         assert vals["mean"] == pytest.approx(vals["worst"], abs=1e-12)
 
@@ -224,12 +233,7 @@ class TestScoreCommand:
         info = _open_info(beliefs={0: _belief((2.5, 0.3), (0.0, 0.0),
                                               cov_scale=0.09)})
         batch = _batch(info)
-        u = VelocityCommand(1.0, 0.0)
-        out = {}
-        for obj in ("cvar", "mean", "worst"):
-            s = score_command(u, batch, info.robot, info.goal,
-                              info.static_map, PlannerParams(objective=obj))
-            out[obj] = s.tail_risk
+        out = _tail_statistics(batch, info)
         assert out["mean"] <= out["cvar"] + 1e-12
         assert out["cvar"] <= out["worst"] + 1e-12
 
