@@ -20,7 +20,17 @@ MEAS_VEL_VAR = 0.04
 # Covariance inflation per unobserved step, (m/s)^2.
 STALE_INFLATION = 0.05
 
-KINDS = ("static", "constant-velocity", "yielding", "aggressive")
+# The parameters each conjecture kind reads in `conjectured_velocity`.
+# Every kind also reads sigma_theta, in `scenarios.sample_batch`.
+KIND_PARAMS = {
+    "static": (),
+    "constant-velocity": ("gamma",),
+    "yielding": ("d_yield", "decel"),
+    "aggressive": ("pursuit_gain",),
+}
+KINDS = tuple(KIND_PARAMS)
+# The kinds whose velocity depends on the robot's position.
+REACTIVE_KINDS = ("yielding", "aggressive")
 
 
 @dataclass(frozen=True)

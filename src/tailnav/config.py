@@ -8,7 +8,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from .beliefs import BeliefParams, Conjecture, default_family
+from .beliefs import KIND_PARAMS, BeliefParams, Conjecture, default_family
 from .controllers import CONTROLLER_KINDS
 from .planner import PlannerParams
 from .safety import ENV_FIELDS, FilterParams
@@ -27,7 +27,11 @@ DEFAULT_CONFIG: dict = {
     "filter": {k: v for k, v in asdict(FilterParams()).items()
                if k not in ENV_FIELDS},
     "beliefs": asdict(BeliefParams()),
-    "family": [asdict(c) for c in default_family()],
+    # A conjecture is its kind, its sigma_theta and the parameters its kind
+    # reads; its id is its place in the list.
+    "family": [{"kind": c.kind, "sigma_theta": c.sigma_theta,
+                **{k: getattr(c, k) for k in KIND_PARAMS[c.kind]}}
+               for c in default_family()],
     "env_overrides": {},
 }
 
@@ -58,6 +62,10 @@ def load_config(path: str | Path | None = None) -> dict:
         unknown = sorted(set(user) - set(DEFAULT_CONFIG))
         if unknown:
             raise ValueError(f"unknown top-level keys {unknown}")
+        version = config["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {version!r} is not "
+                             f"{SCHEMA_VERSION}")
         check_suite(config)
         # The filter defaults stand in for the environment-supplied fields.
         controller_params(config, FilterParams())
@@ -102,7 +110,28 @@ def canonical_json(obj) -> str:
 
 
 def fingerprint(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()
+    """sha256 of the config without its suite grid, so that an episode's
+    record names its parameters whichever grid ran it."""
+    params = {k: v for k, v in config.items() if k != "suite"}
+    return hashlib.sha256(canonical_json(params).encode()).hexdigest()
+
+
+def family_from_config(entries: list) -> tuple[Conjecture, ...]:
+    """The conjectures of a config's "family" block, each with its place in
+    the list as its id.  An entry holds its kind, its sigma_theta and the
+    parameters its kind reads, and no other key."""
+    family = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or entry.get("kind") not in KIND_PARAMS:
+            raise ValueError(f"family[{i}] must be an object with a kind in "
+                             f"{list(KIND_PARAMS)}, got {entry!r}")
+        allowed = {"kind", "sigma_theta", *KIND_PARAMS[entry["kind"]]}
+        unread = sorted(set(entry) - allowed)
+        if unread:
+            raise ValueError(f"family[{i}] ({entry['kind']}): keys {unread} "
+                             f"are not read; it takes {sorted(allowed)}")
+        family.append(Conjecture(i, **entry))
+    return tuple(family)
 
 
 def controller_params(config: dict, env) -> dict:
@@ -110,7 +139,7 @@ def controller_params(config: dict, env) -> dict:
     the bounds that depend on the family's size checked."""
     planner = PlannerParams(**config["planner"])
     beliefs = BeliefParams(**config["beliefs"])
-    family = tuple(Conjecture(**d) for d in config["family"])
+    family = family_from_config(config["family"])
     n = len(family)
     if planner.top_k > n or beliefs.floor >= 1.0 / n:
         raise ValueError(f"{n} conjectures need top_k <= {n} and floor < "

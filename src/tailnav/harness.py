@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -33,6 +32,8 @@ from .world import (
     step_world,
 )
 
+# cvar_selected is the selected command's tail term: the CVaR at alpha,
+# but the mean risk for mean-risk-filter, and 0.0 for the baselines.
 TRACE_COLUMNS = (
     "step", "x", "y", "heading", "v_cmd", "omega_cmd", "v_exec", "omega_exec",
     "clearance", "cvar_selected", "posterior_entropy", "outcome",
@@ -187,6 +188,8 @@ def run_suite(config: dict, out_dir: str | Path, workers: int = 1) -> dict:
             for c in sorted(suite["controllers"])
             for s in sorted(suite["seeds"])]
     if workers > 1:
+        # Imported here, so that `import tailnav` loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job_safe, jobs))
     else:

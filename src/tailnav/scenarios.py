@@ -11,14 +11,13 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .beliefs import Conjecture, ObstacleBelief, Posterior, conjectured_velocity
+from .beliefs import (REACTIVE_KINDS, Conjecture, ObstacleBelief, Posterior,
+                      conjectured_velocity)
 from .geometry import OMEGA_EPS, Pose, VelocityCommand, normalize_angle
 # Re-exported, not called here: tools that patch clearance evaluation and
 # the unicycle step by module attribute look them up in this module as well.
 from .geometry import clearance_points, step_unicycle  # noqa: F401
 from .world import Observation, StaticMap
-
-REACTIVE_KINDS = ("yielding", "aggressive")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Conjecture predictions, likelihoods, posterior updates, and tracking."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from tailnav.beliefs import (
+    KIND_PARAMS,
     Conjecture,
     ObstacleBelief,
     Posterior,
@@ -140,6 +141,24 @@ class TestConjecturedVelocity:
             want = norm_form(conj, vel, pos, robot_xy)
             assert got.shape == want.shape == (U, S, n, 2)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", KIND_PARAMS)
+    def test_reads_exactly_the_parameters_its_kind_lists(self, kind):
+        # A config's family entry may set only KIND_PARAMS[kind], so each
+        # listed parameter must move the velocity and no other may.
+        rng = np.random.default_rng(5)
+        vel = rng.normal(0.0, 1.0, (2, 200))
+        pos = rng.uniform(-3.0, 3.0, (2, 200))
+        robot_xy = np.zeros((2, 1))
+        base = Conjecture(0, kind)
+        want = conjectured_velocity(base, vel, pos, robot_xy)
+        params = [f.name for f in fields(Conjecture)
+                  if f.name not in ("id", "kind", "sigma_theta")]
+        for name in params:
+            conj = replace(base, **{name: getattr(base, name) + 0.25})
+            got = conjectured_velocity(conj, vel, pos, robot_xy)
+            assert (not np.array_equal(got, want)) == (
+                name in KIND_PARAMS[kind]), name
 
 
 class TestLikelihood:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tailnav.beliefs import default_family
 from tailnav.cli import build_parser, main
 from tailnav.config import (
     DEFAULT_CONFIG,
@@ -44,11 +45,19 @@ class TestConfig:
         ({"planner": {"alpha": 2.0}}, "alpha"),
         ({"filter": {"dt": 0.2}}, "dt"),
         ({"beliefs": {"tua": 1.0}}, "tua"),
-        ({"family": [{"id": 0, "kind": "static", "gama": 1.0}]}, "gama"),
+        ({"family": [{"kind": "static", "gama": 1.0}]}, "gama"),
         ({"planer": {"alpha": 0.2}}, "planer"),
         ({"planner": {"c_safe": 0}}, "c_safe"),
-        ({"family": [{"id": 0, "kind": "static", "sigma_theta": -0.1}]},
+        ({"family": [{"kind": "static", "sigma_theta": -0.1}]},
          "sigma_theta"),
+        # A conjecture's id is its place in the list, and an entry carries
+        # only the parameters its kind reads.
+        ({"family": [{"id": 0, "kind": "static"}]}, "'id'"),
+        ({"family": [{"kind": "static", "gamma": 0.5}]}, "gamma"),
+        ({"family": [{"kind": "yielding", "pursuit_gain": 0.5}]},
+         "pursuit_gain"),
+        ({"family": [{"kind": "statik"}]}, "statik"),
+        ({"schema_version": 2}, "schema_version"),
     ])
     def test_bad_key_or_value_named_at_load(self, tmp_path, user, named):
         p = tmp_path / "cfg.json"
@@ -121,6 +130,13 @@ class TestConfig:
         b["planner"]["alpha"] = 0.2
         assert fingerprint(a) != fingerprint(b)
 
+    def test_fingerprint_leaves_out_the_suite_grid(self):
+        a = load_config()
+        b = load_config()
+        b["suite"] = {"environments": ["open-space"],
+                      "controllers": ["goal-pd"], "seeds": [3]}
+        assert fingerprint(a) == fingerprint(b)
+
     def test_param_builders_round_trip(self):
         cfg = load_config()
         env, _ = build_environment("open-space", 0)
@@ -132,8 +148,7 @@ class TestConfig:
         assert fp.dt == env.dt
         bp = params["belief_params"]
         assert bp.tau == 2.0
-        family = params["family"]
-        assert len(family) == 6
+        assert params["family"] == default_family()
 
     def test_checked_in_default_matches_code(self):
         with open("configs/default.json") as f:
