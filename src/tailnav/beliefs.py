@@ -43,10 +43,11 @@ class BeliefParams:
     def __post_init__(self):
         # floor < 1/|family| is checked where the family is known; a positive
         # slack keeps the likelihood scale positive for noise-free sensing.
-        if not (self.tau > 0 and 0 < self.smoothing <= 1 and self.floor >= 0
-                and self.sigma_like_slack > 0):
-            raise ValueError(f"need tau > 0, smoothing in (0, 1], floor >= 0 "
-                             f"and sigma_like_slack > 0, got {self}")
+        if not (0 < self.tau < math.inf and 0 < self.smoothing <= 1
+                and self.floor >= 0 and 0 < self.sigma_like_slack < math.inf):
+            raise ValueError(f"need finite tau > 0, smoothing in (0, 1], "
+                             f"floor >= 0 and finite sigma_like_slack > 0, "
+                             f"got {self}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,10 @@ class Conjecture:
         if not 0.0 <= self.sigma_theta < math.inf:
             raise ValueError(f"sigma_theta must be finite and nonnegative, "
                              f"got {self.sigma_theta}")
+        for k in KIND_PARAMS[self.kind]:
+            if not math.isfinite(getattr(self, k)):
+                raise ValueError(f"{self.kind} conjecture: {k} must be "
+                                 f"finite, got {getattr(self, k)}")
 
 
 def default_family() -> tuple[Conjecture, ...]:

@@ -12,8 +12,17 @@ from .harness import load_records, replay, run_episode, run_suite
 from .planner import CommandLattice, PlannerParams
 
 
+def _refuse(args: argparse.Namespace, exc: Exception) -> int:
+    """Report a refused argument or config as one line on stderr."""
+    print(f"tailnav {args.command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (OSError, ValueError) as exc:
+        return _refuse(args, exc)
     record = run_episode(args.env, args.controller, args.seed, cfg)
     print(json.dumps(record.metrics.to_dict(), indent=2, sort_keys=True))
     if args.verbose:
@@ -25,7 +34,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (OSError, ValueError) as exc:
+        return _refuse(args, exc)
     out = Path(args.out)
     result = run_suite(cfg, out, workers=args.workers)
     print("wrote %d episode records under %s" % (result["n_episodes"], out))
@@ -61,8 +73,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                        risk_weight=args.risk_weight, **common).to_dict(),
                    "uniform_cvar": check_prop_uniform_cvar(**common).to_dict()}
     except ValueError as exc:
-        print(f"tailnav validate: error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(args, exc)
     print(json.dumps(reports, indent=2, sort_keys=True))
     ok = all(r["passed"] for r in reports.values())
     return 0 if ok else 1

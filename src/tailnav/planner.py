@@ -74,8 +74,9 @@ class PlannerParams:
                              f"got {counts}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        if self.risk_weight < 0:
-            raise ValueError("risk weight must be nonnegative")
+        if not 0 <= self.risk_weight < math.inf:
+            raise ValueError(f"risk_weight must be nonnegative and finite, "
+                             f"got {self.risk_weight}")
         # The risk and the harness's safety cost both divide by c_safe.
         if not 0.0 < self.c_safe < math.inf:
             raise ValueError(f"c_safe must be positive and finite, "

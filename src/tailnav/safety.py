@@ -39,9 +39,13 @@ class FilterParams:
     omega_max: float = 1.5
 
     def __post_init__(self):
-        if min(self.c_hard, self.kappa, self.horizon, self.w_progress,
-               self.w_clearance, self.w_deviation) <= 0:
-            raise ValueError("filter parameters must be positive")
+        bad = {n: getattr(self, n) for n in ("c_hard", "kappa", "horizon",
+                                             "w_progress", "w_clearance",
+                                             "w_deviation")
+               if not 0 < getattr(self, n) < math.inf}
+        if bad:
+            raise ValueError(f"filter parameters must be positive and "
+                             f"finite, got {bad}")
         if not isinstance(self.horizon, int):
             raise ValueError(f"horizon must be an integer, "
                              f"got {self.horizon!r}")

@@ -12,7 +12,7 @@ bit-reproducible from (config, seed) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,16 @@ _TAG_PROC = 4
 
 N_SUBSTEPS = 4
 
-BEHAVIORS = ("crossing", "patrolling", "gap-blocking")
+# The fields each behaviour reads besides COMMON_FIELDS.  An obstacle's
+# dict form holds exactly these, and a field its behaviour does not read
+# must keep its default.
+BEHAVIOR_FIELDS = {
+    "crossing": ("direction",),
+    "patrolling": ("direction", "patrol_span"),
+    "gap-blocking": ("trigger_distance", "target", "retreat", "hold_time"),
+}
+BEHAVIORS = tuple(BEHAVIOR_FIELDS)
+COMMON_FIELDS = ("position", "radius", "behavior", "speed", "sigma")
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -46,6 +55,15 @@ def _rng(*key: int) -> np.random.Generator:
 class StaticMap:
     walls: tuple[WallSegment, ...]
     bounds: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
+
+    def __post_init__(self):
+        x0, y0, x1, y1 = self.bounds
+        ends = [v for w in self.walls for v in (*w.a, *w.b)]
+        if not (all(map(math.isfinite, (*self.bounds, *ends)))
+                and x0 < x1 and y0 < y1):
+            raise ValueError(f"static_map: bounds and wall ends must be "
+                             f"finite, with x_min < x_max and y_min < y_max, "
+                             f"got bounds {self.bounds}")
 
     def to_dict(self) -> dict:
         return {
@@ -59,6 +77,27 @@ class StaticMap:
         return StaticMap(walls=walls, bounds=tuple(d["bounds"]))
 
 
+def _point(p) -> bool:
+    return (isinstance(p, tuple) and len(p) == 2
+            and all(math.isfinite(v) for v in p))
+
+
+# Each obstacle field's range; NaN fails every one.
+_IN_RANGE = {
+    "position": _point,
+    "radius": lambda r: 0 < r < math.inf,
+    "behavior": lambda b: b in BEHAVIOR_FIELDS,
+    "speed": lambda s: 0 <= s < math.inf,
+    "sigma": lambda s: 0 <= s < math.inf,
+    "direction": lambda d: _point(d) and 0 < math.hypot(*d) < math.inf,
+    "trigger_distance": lambda t: 0 <= t < math.inf,
+    "target": _point,
+    "retreat": _point,
+    "patrol_span": lambda p: 0 < p < math.inf,
+    "hold_time": lambda t: 0 <= t < math.inf,
+}
+
+
 @dataclass(frozen=True)
 class ObstacleSpec:
     position: tuple[float, float]
@@ -66,24 +105,46 @@ class ObstacleSpec:
     behavior: str
     speed: float
     direction: tuple[float, float] = (1.0, 0.0)
-    trigger_distance: float = 0.0          # gap-blocking only
-    target: Optional[tuple[float, float]] = None  # gap-blocking only
-    retreat: Optional[tuple[float, float]] = None  # gap-blocking fallback point
+    trigger_distance: float = 0.0          # robot range that starts the run
+    target: Optional[tuple[float, float]] = None   # point held for hold_time
+    retreat: Optional[tuple[float, float]] = None  # point moved to for good
     patrol_span: Optional[float] = None    # patrolling turnaround span, meters
-    hold_time: float = 0.0                 # gap-blocking dwell at target, seconds
+    hold_time: float = 0.0                 # dwell at target, seconds
     sigma: float = 0.0                     # process noise, m/s per step
 
     def __post_init__(self):
-        if self.behavior not in BEHAVIORS:
+        if self.behavior not in BEHAVIOR_FIELDS:
             raise ValueError(f"unknown behavior {self.behavior!r}")
-        if self.radius <= 0 or self.speed < 0 or self.sigma < 0:
-            raise ValueError("invalid obstacle spec")
+        reads = (*COMMON_FIELDS, *BEHAVIOR_FIELDS[self.behavior])
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in reads:
+                if value != f.default:
+                    raise ValueError(f"a {self.behavior} obstacle does not "
+                                     f"read {f.name}, got {value!r}")
+            elif value is None:
+                raise ValueError(f"a {self.behavior} obstacle needs {f.name}")
+            elif not _IN_RANGE[f.name](value):
+                raise ValueError(f"{self.behavior} obstacle: {f.name} out of "
+                                 f"range, got {value!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The common fields and the fields the behaviour reads."""
+        keys = (*COMMON_FIELDS, *BEHAVIOR_FIELDS[self.behavior])
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name in keys}
 
     @staticmethod
     def from_dict(d: dict) -> "ObstacleSpec":
+        """The inverse of to_dict; a missing or unread key raises."""
+        if not isinstance(d, dict) or d.get("behavior") not in BEHAVIOR_FIELDS:
+            raise ValueError(f"an obstacle must be an object with a behavior "
+                             f"in {list(BEHAVIORS)}, got {d!r}")
+        keys = {*COMMON_FIELDS, *BEHAVIOR_FIELDS[d["behavior"]]}
+        if d.keys() != keys:
+            raise ValueError(f"{d['behavior']} obstacle: unread keys "
+                             f"{sorted(d.keys() - keys)}, missing keys "
+                             f"{sorted(keys - d.keys())}")
         return ObstacleSpec(**{k: tuple(v) if isinstance(v, list) else v
                                for k, v in d.items()})
 
@@ -107,13 +168,22 @@ class EnvironmentConfig:
     command_delay: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.max_steps <= 0:
-            raise ValueError("dt and max_steps must be positive")
-        bad = [n for n in ("robot_radius", "goal_radius", "v_max", "omega_max",
-                           "sensing_radius") if not getattr(self, n) > 0]
-        bad += [n for n in ("sigma_obs", "sigma_act") if not getattr(self, n) >= 0]
+        if not (0 < self.dt < math.inf and isinstance(self.max_steps, int)
+                and self.max_steps > 0):
+            raise ValueError("dt and max_steps must be positive, dt finite "
+                             "and max_steps an integer")
+        bad = [n for n in ("robot_radius", "goal_radius", "v_max", "omega_max")
+               if not 0 < getattr(self, n) < math.inf]
+        # An infinite sensing radius is unlimited range.
+        if not self.sensing_radius > 0:
+            bad.append("sensing_radius")
+        bad += [n for n in ("sigma_obs", "sigma_act")
+                if not 0 <= getattr(self, n) < math.inf]
         if not isinstance(self.command_delay, int) or self.command_delay < 0:
             bad.append("command_delay")
+        start = self.start
+        if not all(map(math.isfinite, (start.x, start.y, start.heading))):
+            bad.append("start")
         if bad:
             raise ValueError("out of range: " + ", ".join(
                 f"{n}={getattr(self, n)!r}" for n in bad))
@@ -159,7 +229,7 @@ class WorldState:
     directions: np.ndarray   # (n_obs, 2) unit travel directions
     phase: np.ndarray        # (n_obs,) int, gap-blocking phase machine state
     timer: np.ndarray        # (n_obs,) float, gap-blocking hold time left, s
-    anchors: np.ndarray      # (n_obs, 2) behavior anchor (home / patrol center)
+    anchors: np.ndarray      # (n_obs, 2) start positions (patrol centers)
     step: int = 0
     outcome: str = "running"
     pending: list = field(default_factory=list)  # command-delay queue
@@ -235,7 +305,7 @@ def build_environment(name: str, seed: int) -> tuple[EnvironmentConfig, "WorldSt
         blocker_home = (9.2, gap_center)
         obstacles = (
             ObstacleSpec(position=blocker_home, radius=0.55, behavior="gap-blocking",
-                         speed=0.8, direction=(-1.0, 0.0), trigger_distance=7.2,
+                         speed=0.8, trigger_distance=7.2,
                          target=(5.75, gap_center),
                          retreat=(9.0, min(gap_center + 2.2, 9.4)),
                          hold_time=6.0, sigma=0.03),
@@ -289,8 +359,7 @@ def init_world(config: EnvironmentConfig, seed: int) -> WorldState:
     directions = np.zeros((n, 2))
     for i, o in enumerate(config.obstacles):
         d = np.asarray(o.direction, dtype=float)
-        nrm = np.hypot(*d)
-        directions[i] = d / nrm if nrm > 0 else np.array([1.0, 0.0])
+        directions[i] = d / np.hypot(*d)
     return WorldState(
         seed=seed,
         robot=config.start,
@@ -324,7 +393,7 @@ def _behavior_velocity(state: WorldState, i: int, spec: ObstacleSpec,
 
     if spec.behavior == "gap-blocking":
         # Phase machine: wait at home until the robot comes near, move to
-        # guard the target point, hold it, then retreat home for good.
+        # guard the target point, hold it, then retreat for good.
         target = np.asarray(spec.target, dtype=float)
         if state.phase[i] == GB_IDLE:
             rp = np.array([state.robot.x, state.robot.y])
@@ -342,17 +411,16 @@ def _behavior_velocity(state: WorldState, i: int, spec: ObstacleSpec,
                 return np.zeros(2)
             state.phase[i] = GB_RETREAT
         if state.phase[i] == GB_RETREAT:
-            fallback = (np.asarray(spec.retreat, dtype=float)
-                        if spec.retreat is not None else state.anchors[i])
-            if np.hypot(*(fallback - pos)) <= _GB_ARRIVE:
+            retreat = np.asarray(spec.retreat, dtype=float)
+            if np.hypot(*(retreat - pos)) <= _GB_ARRIVE:
                 state.phase[i] = GB_DONE
             else:
-                return _seek(pos, fallback, spec.speed)
+                return _seek(pos, retreat, spec.speed)
         return np.zeros(2)
 
     # Patrolling turnaround: reverse once the obstacle passes the far end of
     # its span (measured along the travel direction from the patrol center).
-    if spec.behavior == "patrolling" and spec.patrol_span is not None:
+    if spec.behavior == "patrolling":
         along = float((pos - state.anchors[i]) @ d)
         if along > spec.patrol_span / 2.0:
             state.directions[i] = -d

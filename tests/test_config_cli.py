@@ -1,6 +1,7 @@
 """Configuration loading, fingerprints, and the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -118,6 +119,41 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"invalid config .*{key}"):
             load_config(p)
 
+    @pytest.mark.parametrize("user, named", [
+        ({"planner": {"risk_weight": math.nan}}, "risk_weight"),
+        ({"filter": {"kappa": math.nan}}, "kappa"),
+        ({"filter": {"w_deviation": math.nan}}, "w_deviation"),
+        ({"filter": {"c_hard": math.inf}}, "c_hard"),
+        ({"env_overrides": {"start": [math.nan, 5.0, 0.0]}}, "start"),
+        ({"beliefs": {"tau": math.inf}}, "tau"),
+        ({"family": [{"kind": "constant-velocity", "gamma": math.nan}]},
+         "gamma"),
+        ({"env_overrides": {"sigma_obs": math.inf}}, "sigma_obs"),
+    ])
+    def test_non_finite_parameter_refused_at_load(self, tmp_path, user,
+                                                  named):
+        # json reads NaN and Infinity; each of these loaded before.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(user))
+        with pytest.raises(ValueError, match=f"invalid config .*{named}"):
+            load_config(p)
+
+    def test_infinite_sensing_radius_accepted(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"env_overrides": {"sensing_radius":
+                                                   math.inf}}))
+        assert load_config(p)["env_overrides"]["sensing_radius"] == math.inf
+
+    def test_env_override_obstacle_without_target_refused(self, tmp_path):
+        # A null target used to load, and the blocker then moved to NaN.
+        env, _ = build_environment("bottleneck", 0)
+        obstacles = env.to_dict()["obstacles"]
+        obstacles[0]["target"] = None
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"env_overrides": {"obstacles": obstacles}}))
+        with pytest.raises(ValueError, match="invalid config .*needs target"):
+            load_config(p)
+
     def test_env_override_fields_accepted(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"env_overrides": {"dt": 0.2}}))
@@ -188,6 +224,24 @@ class TestCli:
         record = out / "episodes" / "open-space__goal-pd.jsonl"
         assert main(["replay", "--record", str(record)]) == 0
         assert "match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["run", "--env", "open-space",
+                                          "--controller", "goal-pd"],
+                                         ["suite"]])
+    def test_refused_config_is_one_line_exit_2(self, tmp_path, capsys,
+                                               command):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"family": [{"kind": "static",
+                                             "gamma": 0.5}]}))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(p), *(
+            ["--out", str(out)] if command == ["suite"] else [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"tailnav {command[0]}: error: invalid config")
+        assert "gamma" in line
+        assert not out.exists()
 
     def test_validate_defaults_are_the_planners(self):
         args = build_parser().parse_args(["validate"])

@@ -1,5 +1,5 @@
 """Metamorphic checks: decisions and episodes commute with the mirror
-about y = 0.
+about y = 0, and decisions with a permutation of the scenarios.
 
 Negating y, every heading and every turn rate is exact in IEEE
 arithmetic, and the code takes sin and atan2 odd and cos even, so a
@@ -12,6 +12,10 @@ The scenario normals and the world's noise are not mirrored, so rcsp
 decisions are mirrored at the kernel level, with the batch arrays
 mirrored, and whole episodes only when they are noise-free.  A heading of
 exactly +-pi is skipped: `normalize_angle` maps both to pi.
+
+The planner's scenarios are exchangeable, so permuting a batch's scenario
+axis must permute every command's risks and leave its CVaR, its objective
+and the chosen command bit for bit as they were.
 """
 
 import math
@@ -142,6 +146,34 @@ def test_apply_filter_commutes_with_the_mirror(decisions):
                            _beliefs(beliefs), _lattice(lattice), _point(goal),
                            _map(static_map), params, **kwargs)
         assert got == _command(command)
+
+
+def _permuted(batch, perm):
+    return replace(batch, conjecture_ids=batch.conjecture_ids[perm],
+                   init_positions=batch.init_positions[perm],
+                   init_velocities=batch.init_velocities[perm],
+                   noise=batch.noise[perm])
+
+
+def test_select_command_commutes_with_a_scenario_permutation(decisions):
+    # The scenarios are exchangeable: permuting the batch's scenario axis
+    # permutes every command's risks, bit for bit, and leaves the CVaR, the
+    # objective and the choice as they were.  (A mean over the risks is
+    # not bit-invariant under reordering, so mean_risk is not checked.)
+    calls = decisions["select_command"]
+    assert len(calls) >= 24
+    for k, ((info, lattice, batch, params), kwargs, (command, scores)) in (
+            enumerate(calls)):
+        assert not kwargs.get("mean_risk")
+        perm = np.random.default_rng(k).permutation(len(batch.conjecture_ids))
+        got, got_scores = select_command(info, lattice, _permuted(batch, perm),
+                                         params, **kwargs)
+        assert got == command
+        for s, m in zip(scores, got_scores, strict=True):
+            assert m.command == s.command
+            assert (m.mean_reward, m.tail_risk, m.objective) == (
+                s.mean_reward, s.tail_risk, s.objective)
+            assert np.array_equal(m.risks, s.risks[perm])
 
 
 def _noise_free(env):

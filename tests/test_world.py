@@ -7,6 +7,8 @@ import pytest
 
 from tailnav.geometry import Pose, VelocityCommand, WallSegment
 from tailnav.world import (
+    BEHAVIOR_FIELDS,
+    BEHAVIORS,
     EnvironmentConfig,
     ObstacleSpec,
     StaticMap,
@@ -290,7 +292,7 @@ class TestObstacleBehaviors:
         spec = ObstacleSpec(position=(9.0, 5.0), radius=0.5,
                             behavior="gap-blocking", speed=0.8,
                             trigger_distance=3.0, target=(6.0, 5.0),
-                            hold_time=1.0)
+                            retreat=(9.5, 5.0), hold_time=1.0)
         cfg = _minimal_config(obstacles=(spec,), start=Pose(1.0, 5.0, 0.0))
         state = init_world(cfg, 0)
         for _ in range(10):
@@ -315,6 +317,120 @@ class TestObstacleBehaviors:
         with pytest.raises(ValueError):
             ObstacleSpec(position=(0.0, 0.0), radius=0.3,
                          behavior="wandering", speed=0.5)
+
+
+def _spec(behavior, **fields):
+    return ObstacleSpec(**{"position": (6.0, 5.0), "radius": 0.3,
+                           "speed": 0.5, **fields, "behavior": behavior})
+
+
+GAP = dict(trigger_distance=3.0, target=(6.0, 5.0), retreat=(9.0, 5.0),
+           hold_time=1.0)
+
+
+class TestObstacleFields:
+    """An obstacle holds the fields its behaviour reads, each in range."""
+
+    def test_dict_form_holds_the_fields_each_behaviour_reads(self):
+        keys = {"position", "radius", "behavior", "speed", "sigma"}
+        specs = (_spec("crossing"), _spec("patrolling", patrol_span=2.0),
+                 _spec("gap-blocking", **GAP))
+        for spec in specs:
+            d = spec.to_dict()
+            assert d.keys() == keys | set(BEHAVIOR_FIELDS[spec.behavior])
+            assert ObstacleSpec.from_dict(d) == spec
+        assert BEHAVIORS == tuple(BEHAVIOR_FIELDS)
+
+    def test_shipped_environments_set_only_read_fields(self):
+        # Crossing 6 values, patrolling 7, gap-blocking 9, behavior included.
+        counts = {}
+        for name in ("open-space", "bottleneck", "warehouse-squeeze"):
+            cfg, _ = build_environment(name, 0)
+            counts[name] = sum(len(o.to_dict()) for o in cfg.obstacles)
+        assert counts == {"open-space": 6, "bottleneck": 15,
+                          "warehouse-squeeze": 13}
+
+    @pytest.mark.parametrize("behavior, fields, named", [
+        ("gap-blocking", {**GAP, "target": None}, "needs target"),
+        ("gap-blocking", {**GAP, "retreat": None}, "needs retreat"),
+        ("patrolling", {}, "needs patrol_span"),
+        ("crossing", {"patrol_span": 2.0}, "does not read patrol_span"),
+        ("gap-blocking", {**GAP, "direction": (-1.0, 0.0)},
+         "does not read direction"),
+        ("crossing", {"direction": (0.0, 0.0)}, "direction out of range"),
+        ("patrolling", {"direction": (0.0, -0.0), "patrol_span": 2.0},
+         "direction out of range"),
+        ("crossing", {"position": (math.nan, 5.0)}, "position out of range"),
+        ("crossing", {"radius": math.inf}, "radius out of range"),
+        ("crossing", {"sigma": math.nan}, "sigma out of range"),
+        ("patrolling", {"patrol_span": 0.0}, "patrol_span out of range"),
+        ("gap-blocking", {**GAP, "hold_time": math.nan},
+         "hold_time out of range"),
+        ("gap-blocking", {**GAP, "target": (6.0, math.inf)},
+         "target out of range"),
+    ])
+    def test_incomplete_unread_or_out_of_range_field_refused(
+            self, behavior, fields, named):
+        with pytest.raises(ValueError, match=named):
+            _spec(behavior, **fields)
+
+    @pytest.mark.parametrize("behavior, edit, named", [
+        ("crossing", {"hold_time": 0.0}, r"unread keys \['hold_time'\]"),
+        ("crossing", {"direction": None}, r"missing keys \['direction'\]"),
+        ("gap-blocking", {"direction": [1.0, 0.0]},
+         r"unread keys \['direction'\]"),
+        ("patrolling", {"patrol_span": None},
+         r"missing keys \['patrol_span'\]"),
+    ])
+    def test_dict_form_with_unread_or_missing_key_refused(self, behavior,
+                                                          edit, named):
+        fields = {"crossing": {}, "patrolling": {"patrol_span": 2.0},
+                  "gap-blocking": GAP}[behavior]
+        d = _spec(behavior, **fields).to_dict()
+        for k, v in edit.items():
+            if v is None:
+                del d[k]
+            else:
+                d[k] = v
+        with pytest.raises(ValueError, match=named):
+            ObstacleSpec.from_dict(d)
+
+    def test_record_with_every_field_refused(self):
+        # The dict form of an obstacle used to hold all eleven fields.
+        d = {**_spec("crossing").to_dict(), "trigger_distance": 0.0,
+             "target": None, "retreat": None, "patrol_span": None,
+             "hold_time": 0.0}
+        with pytest.raises(ValueError, match="unread keys .'hold_time'"):
+            ObstacleSpec.from_dict(d)
+
+    def test_gap_blocker_with_null_target_refused_in_an_environment(self):
+        cfg, _ = build_environment("bottleneck", 0)
+        d = cfg.to_dict()
+        d["obstacles"][0]["target"] = None
+        with pytest.raises(ValueError, match="needs target"):
+            EnvironmentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("start", Pose(math.nan, 5.0, 0.0)), ("dt", math.inf),
+        ("sigma_act", math.inf), ("v_max", math.nan)])
+    def test_non_finite_environment_value_refused(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            _minimal_config(**{key: value})
+
+    @pytest.mark.parametrize("d", [
+        {"walls": [], "bounds": [0.0, 0.0, math.inf, 10.0]},
+        {"walls": [[[1.0, math.nan], [2.0, 2.0]]],
+         "bounds": [0.0, 0.0, 12.0, 10.0]},
+        {"walls": [], "bounds": [0.0, 10.0, 12.0, 0.0]}])
+    def test_non_finite_or_empty_static_map_refused(self, d):
+        with pytest.raises(ValueError, match="static_map"):
+            StaticMap.from_dict(d)
+
+    def test_infinite_sensing_radius_is_unlimited_range(self):
+        cfg = _minimal_config(sensing_radius=math.inf, obstacles=(
+            ObstacleSpec(position=(11.5, 9.5), radius=0.35,
+                         behavior="crossing", speed=0.0),))
+        assert len(observe(init_world(cfg, 0), cfg).obstacles) == 1
 
 
 class TestCurrentClearance:
